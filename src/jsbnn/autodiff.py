@@ -11,7 +11,8 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import expit
 
-__all__ = ["Tensor", "log", "exp", "relu", "softplus", "logaddexp", "logsumexp", "gather_rows"]
+__all__ = ["Tensor", "log", "exp", "relu", "softplus", "logaddexp", "logsumexp", "gather_rows",
+           "columns"]
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -146,12 +147,13 @@ class Tensor:
         return out
 
     def __matmul__(self, other):
+        """Matrix product of the last two axes, broadcasting any leading (batch) axes."""
         other = self._wrap(other)
         out = Tensor(self.value @ other.value, (self, other))
 
         def back(g):
-            self.grad += g @ other.value.T
-            other.grad += self.value.T @ g
+            self.grad += _unbroadcast(g @ np.swapaxes(other.value, -1, -2), self.value.shape)
+            other.grad += _unbroadcast(np.swapaxes(self.value, -1, -2) @ g, other.value.shape)
 
         out._backward = back
         return out
@@ -221,8 +223,9 @@ def softplus(t: Tensor) -> Tensor:
     return out
 
 
-def logaddexp(a: Tensor, b: Tensor) -> Tensor:
+def logaddexp(a, b) -> Tensor:
     """Stable log(exp(a) + exp(b)); gradients are the mixture responsibilities."""
+    a, b = Tensor._wrap(a), Tensor._wrap(b)
     out = Tensor(np.logaddexp(a.value, b.value), (a, b))
 
     def back(g):
@@ -250,15 +253,25 @@ def logsumexp(t: Tensor, axis: int) -> Tensor:
 
 
 def gather_rows(t: Tensor, idx: np.ndarray) -> Tensor:
-    """Pick t[i, idx[i]] for each row i of a 2-D tensor."""
+    """Pick t[..., i, idx[i]] for each row i of the last two axes of t."""
     idx = np.asarray(idx)
-    rows = np.arange(t.value.shape[0])
-    out = Tensor(t.value[rows, idx], (t,))
+    rows = np.arange(t.value.shape[-2])
+    out = Tensor(t.value[..., rows, idx], (t,))
 
     def back(g):
-        acc = np.zeros_like(t.value)
-        np.add.at(acc, (rows, idx), g)
-        t.grad += acc
+        # each (row, idx[row]) pair occurs once, so plain indexed addition is exact
+        t.grad[..., rows, idx] += g
+
+    out._backward = back
+    return out
+
+
+def columns(t: Tensor, cols: slice) -> Tensor:
+    """The column slice t[..., cols] of the last axis."""
+    out = Tensor(t.value[..., cols], (t,))
+
+    def back(g):
+        t.grad[..., cols] += g
 
     out._backward = back
     return out

@@ -105,7 +105,10 @@ def cmd_eval(args) -> int:
     cfg = load_config(args.config, overrides)
     if not Path(args.checkpoint).exists():
         raise ConfigError(f"checkpoint {args.checkpoint} does not exist")
-    net = load_checkpoint(args.checkpoint)
+    try:
+        net = load_checkpoint(args.checkpoint)
+    except ValueError as err:
+        raise ConfigError(f"checkpoint: {err}") from None
     ds = cfg.build_dataset()
     x_test, y_test = ds.subset("test")
     if x_test.shape[0] == 0:

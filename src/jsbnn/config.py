@@ -102,7 +102,10 @@ class ExperimentConfig:
                 d["n_per_class"], d["centers"], d["spread"], d["bias_ratio"], d["seed"]
             )
         else:
-            ds = load_csv(d["path"], CsvSchema(n_features=d["n_features"], n_classes=d["n_classes"]))
+            try:
+                ds = load_csv(d["path"], CsvSchema(n_features=d["n_features"], n_classes=d["n_classes"]))
+            except ValueError as err:
+                raise ConfigError(f"dataset.path: {err}") from None
         ds = Dataset(minmax_normalize(ds.features), ds.labels)
         ds = split(ds, d["split_fractions"], seed=d["seed"])
         spec = NoiseSpec(mean=d["noise_mean"], sigma=d["noise_sigma"], seed=d["seed"])

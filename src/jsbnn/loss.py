@@ -2,9 +2,11 @@
 
 Every objective is (constraint weight) * divergence + expected negative
 log-likelihood, with the likelihood expectation always estimated by sampled
-forward passes. The whole objective is built once as an autodiff graph, so the
-reported breakdown and the gradients used for training come from the same
-arithmetic.
+forward passes. The whole objective is built once as an autodiff graph over
+two leaves, the flat mu and rho vectors of all P parameters, so the reported
+breakdown and the gradients used for training come from the same arithmetic.
+The S Monte-Carlo samples form a leading axis: the forward pass, the
+cross-entropy and every log density run once over (S, P) blocks.
 
 Loss evaluation is read-only over the network; each call derives its own RNG
 stream from (cfg.seed, step), which keeps evaluation deterministic, allows the
@@ -20,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .divergence import DivergenceConfig
-from .network import BayesianNetwork, LayerNoise
+from .divergence import DivergenceConfig, _stream_seeds
+from .network import BayesianNetwork
 
 __all__ = [
     "LossBreakdown",
@@ -37,6 +39,8 @@ __all__ = [
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 LOSS_KINDS = ("kl", "jsg_closed", "jsg_mc", "jsa_mc")
+# the kinds whose divergence is estimated from direct prior draws
+MC_KINDS = ("jsg_mc", "jsa_mc")
 
 BREAKDOWN_CSV_HEADER = "step,divergence_term,nll_term,total"
 
@@ -77,11 +81,27 @@ class LossBreakdown:
 
 @dataclass
 class NoiseBundle:
-    """Frozen randomness for one loss evaluation: reparameterization noise for
-    the posterior samples, plus direct prior draws for the Monte-Carlo kinds."""
+    """Frozen randomness for one loss evaluation, one row per Monte-Carlo sample.
 
-    epsilons: list  # [sample][layer] -> LayerNoise
-    prior_draws: list  # [sample][layer] -> (weights array, biases array)
+    eps is the (S, P) reparameterization noise of the posterior samples and
+    prior the (S, P) direct prior draws of the Monte-Carlo kinds (None for the
+    others), both in the network's flat layout.
+    """
+
+    eps: np.ndarray
+    prior: np.ndarray = None
+
+
+def _draw(net: BayesianNetwork, rng: np.random.Generator, n_samples: int,
+          with_prior: bool) -> NoiseBundle:
+    # One (S, P) block reads the stream in the order of S successive per-layer
+    # draws (weights, then biases, layer by layer), so row s is sample s.
+    eps = rng.standard_normal((n_samples, net.n_parameters))
+    prior = None
+    if with_prior:
+        mp, sp = net.flat_prior()
+        prior = mp + sp * rng.standard_normal((n_samples, net.n_parameters))
+    return NoiseBundle(eps, prior)
 
 
 def draw_bundle(net: BayesianNetwork, cfg: DivergenceConfig, step: int = 0,
@@ -92,53 +112,12 @@ def draw_bundle(net: BayesianNetwork, cfg: DivergenceConfig, step: int = 0,
     loss kinds share identical epsilon samples.
     """
     rng = np.random.default_rng([int(cfg.seed), int(step)])
-    eps = [
-        [
-            LayerNoise(rng.standard_normal(l.weights.dim), rng.standard_normal(l.biases.dim))
-            for l in net.layers
-        ]
-        for _ in range(cfg.mc_samples)
-    ]
-    prior = []
-    if with_prior:
-        for _ in range(cfg.mc_samples):
-            draws = []
-            for l in net.layers:
-                pw = net.prior_for(l.weights.dim)
-                pb = net.prior_for(l.biases.dim)
-                draws.append(
-                    (
-                        pw.mu + pw.sigma * rng.standard_normal(l.weights.dim),
-                        pb.mu + pb.sigma * rng.standard_normal(l.biases.dim),
-                    )
-                )
-            prior.append(draws)
-    return NoiseBundle(epsilons=eps, prior_draws=prior)
+    return _draw(net, rng, cfg.mc_samples, with_prior)
 
 
 # ---------------------------------------------------------------------------
 # graph construction
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class _LayerLeaves:
-    w_mu: ad.Tensor
-    w_rho: ad.Tensor
-    b_mu: ad.Tensor
-    b_rho: ad.Tensor
-
-
-def _make_leaves(net: BayesianNetwork) -> list:
-    return [
-        _LayerLeaves(
-            ad.Tensor(l.weights.mu),
-            ad.Tensor(l.weights.rho),
-            ad.Tensor(l.biases.mu),
-            ad.Tensor(l.biases.rho),
-        )
-        for l in net.layers
-    ]
 
 
 def _validate_batch(net: BayesianNetwork, batch):
@@ -154,218 +133,109 @@ def _validate_batch(net: BayesianNetwork, batch):
     return x, y
 
 
-def _sampled_params(leaves, net, eps):
-    """Per-layer reparameterized samples (w, b, sigma_w, sigma_b) as tensors."""
-    out = []
-    for leaf, noise in zip(leaves, eps):
-        sig_w = ad.softplus(leaf.w_rho)
-        sig_b = ad.softplus(leaf.b_rho)
-        w = leaf.w_mu + sig_w * ad.Tensor(noise.weights)
-        b = leaf.b_mu + sig_b * ad.Tensor(noise.biases)
-        out.append((w, b, sig_w, sig_b))
-    return out
-
-
-def _forward_graph(net, sampled, x):
+def _logits_graph(net, w, x):
+    """(S, n, k) logits of the batch x under the (S, P) sampled parameters w."""
+    n_samples = w.shape[0]
     h = ad.Tensor(x)
-    for layer, (w, b, _, _) in zip(net.layers, sampled):
-        h = h @ w.reshape((layer.fan_in, layer.fan_out)) + b
+    for layer, ((ws, w_shape), (bs, _)) in zip(net.layers, net.layout()):
+        weights = ad.columns(w, ws).reshape((n_samples, *w_shape))
+        biases = ad.columns(w, bs).reshape((n_samples, 1, layer.fan_out))
+        h = h @ weights + biases
         if layer.activation == "relu":
             h = ad.relu(h)
     return h
 
 
 def _cross_entropy(logits, y):
-    # sum over the batch of -log softmax(logits)[y]
-    return ad.logsumexp(logits, axis=1).sum() - ad.gather_rows(logits, y).sum()
+    # sum over samples and batch rows of -log softmax(logits)[y]
+    return ad.logsumexp(logits, axis=-1).sum() - ad.gather_rows(logits, y).sum()
 
 
-def _log_q(sampled, leaves):
-    """log q(w | theta) of one full sampled parameter vector, as a scalar tensor."""
-    total = ad.Tensor(0.0)
-    for (w, b, sig_w, sig_b), leaf in zip(sampled, leaves):
-        for val, mu, sig in ((w, leaf.w_mu, sig_w), (b, leaf.b_mu, sig_b)):
-            z = (val - mu) / sig
-            total = total + ((z * z) * (-0.5) - ad.log(sig)).sum() + (-_HALF_LOG_2PI * mu.value.size)
-    return total
+def _log_normal(x, mean, var):
+    """log N(x; mean, diag(var)) of each (S, P) row: an (S,) tensor, or an array
+    when every argument is a constant array."""
+    log = ad.log if isinstance(var, ad.Tensor) else np.log
+    return ((x - mean) ** 2 / var + log(var)).sum(axis=-1) * -0.5 - _HALF_LOG_2PI * x.shape[-1]
 
 
-def _log_prior(net, values) -> float:
-    """log P(w) of constant parameter values (plain float, no gradient path)."""
-    total = 0.0
-    for layer, (w, b) in zip(net.layers, values):
-        for val, dim in ((w, layer.weights.dim), (b, layer.biases.dim)):
-            g = net.prior_for(dim)
-            z = (np.asarray(val) - g.mu) / g.sigma
-            total += float(np.sum(-_HALF_LOG_2PI - np.log(g.sigma) - 0.5 * z**2))
-    return total
+def _geometric_mean(mu, vq, mp, vp, alpha):
+    """Mean and variance of the geometric-mean Gaussian q^alpha P^(1-alpha), per parameter."""
+    vg = vq * vp / (vq * (1.0 - alpha) + alpha * vp)
+    return vg * (mu * alpha / vq + (1.0 - alpha) * mp / vp), vg
 
 
-def _log_prior_of_sampled(net, sampled):
-    """log P(w) of the sampled (theta-dependent) parameter vector, as a tensor."""
-    total = ad.Tensor(0.0)
-    for layer, (w, b, _, _) in zip(net.layers, sampled):
-        for val, dim in ((w, layer.weights.dim), (b, layer.biases.dim)):
-            g = net.prior_for(dim)
-            z = (val - ad.Tensor(g.mu)) / ad.Tensor(g.sigma)
-            total = total + ((z * z) * (-0.5)).sum() + float(
-                np.sum(-_HALF_LOG_2PI - np.log(g.sigma))
-            )
-    return total
+def _divergence_graph(kind, alpha, mu, vq, mp, vp, w, prior):
+    """The divergence of one loss kind (before lam) over the flat parameters.
 
+    mu and vq are the posterior mean and variance (P,), mp and vp the prior's;
+    w holds the (S, P) posterior samples and prior the (S, P) prior draws.
+    """
+    if kind == "kl":
+        return (vq / vp + ad.log(vp / vq) + (mp - mu) ** 2 / vp - 1.0).sum() * 0.5
+    mg, vg = _geometric_mean(mu, vq, mp, vp, alpha)
+    if kind == "jsg_closed":
+        terms = ((vq * (1.0 - alpha) + alpha * vp) / vg
+                 + ad.log(vg) - ad.log(vq) * (1.0 - alpha) - alpha * np.log(vp)
+                 + (mg - mu) ** 2 / vg * (1.0 - alpha) + (mg - mp) ** 2 / vg * alpha - 1.0)
+        return terms.sum() * 0.5
 
-def _log_q_of_constant(values, leaves):
-    """log q(w | theta) of constant values (prior draws); gradients flow into theta."""
-    total = ad.Tensor(0.0)
-    for (w, b), leaf in zip(values, leaves):
-        for val, mu, rho in ((w, leaf.w_mu, leaf.w_rho), (b, leaf.b_mu, leaf.b_rho)):
-            sig = ad.softplus(rho)
-            z = (ad.Tensor(np.asarray(val)) - mu) / sig
-            total = total + ((z * z) * (-0.5) - ad.log(sig)).sum() + (-_HALF_LOG_2PI * mu.value.size)
-    return total
-
-
-def _kl_closed_graph(net, leaves):
-    total = ad.Tensor(0.0)
-    for layer, leaf in zip(net.layers, leaves):
-        for mu, rho, dim in (
-            (leaf.w_mu, leaf.w_rho, layer.weights.dim),
-            (leaf.b_mu, leaf.b_rho, layer.biases.dim),
-        ):
-            p = net.prior_for(dim)
-            vp = p.var
-            sig = ad.softplus(rho)
-            vq = sig * sig
-            terms = vq / vp + ad.log(ad.Tensor(vp) / vq) + (ad.Tensor(p.mu) - mu) ** 2 / vp - 1.0
-            total = total + terms.sum() * 0.5
-    return total
-
-
-def _jsg_closed_graph(net, leaves, alpha):
-    total = ad.Tensor(0.0)
-    for layer, leaf in zip(net.layers, leaves):
-        for mu, rho, dim in (
-            (leaf.w_mu, leaf.w_rho, layer.weights.dim),
-            (leaf.b_mu, leaf.b_rho, layer.biases.dim),
-        ):
-            p = net.prior_for(dim)
-            vp, mp = p.var, p.mu
-            sig = ad.softplus(rho)
-            vq = sig * sig
-            vg = vq * vp / (vq * (1.0 - alpha) + alpha * vp)
-            mu_g = vg * (mu * alpha / vq + (1.0 - alpha) * mp / vp)
-            t_trace = (vq * (1.0 - alpha) + alpha * vp) / vg
-            t_logdet = ad.log(vg) - ad.log(vq) * (1.0 - alpha) - ad.Tensor(alpha * np.log(vp))
-            t_mq = (mu_g - mu) ** 2 / vg * (1.0 - alpha)
-            t_mp = (mu_g - ad.Tensor(mp)) ** 2 / vg * alpha
-            total = total + (t_trace + t_logdet + t_mq + t_mp - 1.0).sum() * 0.5
-    return total
-
-
-def _mc_divergence_graph(net, leaves, sampled_per_draw, bundle, cfg, kind):
-    """Monte-Carlo divergence for the jsg_mc / jsa_mc kinds, as a scalar tensor."""
-    alpha = cfg.alpha
-    n = cfg.mc_samples
-
-    def log_mix(log_q_t, log_p_t):
+    def log_mix(log_q, log_p):
         # skewed full-vector mixture alpha*q + (1-alpha)*P, in log space
         if alpha == 0.0:
-            return log_p_t
+            return log_p
         if alpha == 1.0:
-            return log_q_t
-        return ad.logaddexp(log_q_t + math.log(alpha), log_p_t + math.log(1.0 - alpha))
+            return log_q
+        return ad.logaddexp(log_q + math.log(alpha), log_p + math.log(1.0 - alpha))
 
-    if kind == "jsg_mc":
-        # closed-form geometric-mean parameters, theta-dependent through vq
-        def log_gprime(sampled_or_values, is_tensor):
-            total = ad.Tensor(0.0)
-            for idx, layer in enumerate(net.layers):
-                leaf = leaves[idx]
-                if is_tensor:
-                    w, b, sig_w, sig_b = sampled_or_values[idx]
-                    pairs = ((w, leaf.w_mu, sig_w, layer.weights.dim), (b, leaf.b_mu, sig_b, layer.biases.dim))
-                else:
-                    w, b = sampled_or_values[idx]
-                    pairs = (
-                        (ad.Tensor(np.asarray(w)), leaf.w_mu, ad.softplus(leaf.w_rho), layer.weights.dim),
-                        (ad.Tensor(np.asarray(b)), leaf.b_mu, ad.softplus(leaf.b_rho), layer.biases.dim),
-                    )
-                for val, mu, sig, dim in pairs:
-                    p = net.prior_for(dim)
-                    vp, mp = p.var, p.mu
-                    vq = sig * sig
-                    vg = vq * vp / (vq * (1.0 - alpha) + alpha * vp)
-                    mu_g = vg * (mu * alpha / vq + (1.0 - alpha) * mp / vp)
-                    z2 = (val - mu_g) ** 2 / vg
-                    total = total + (z2 * (-0.5) - ad.log(vg) * 0.5).sum() + (-_HALF_LOG_2PI * dim)
-            return total
-
-        term_q = ad.Tensor(0.0)
-        if alpha < 1.0:
-            for sampled in sampled_per_draw:
-                term_q = term_q + _log_q(sampled, leaves) - log_gprime(sampled, True)
-            term_q = term_q * ((1.0 - alpha) / n)
-        term_p = ad.Tensor(0.0)
-        if alpha > 0.0:
-            for values in bundle.prior_draws:
-                term_p = term_p + ad.Tensor(_log_prior(net, values)) - log_gprime(values, False)
-            term_p = term_p * (alpha / n)
-        return term_q + term_p
-
-    # jsa_mc
-    term_q = ad.Tensor(0.0)
+    # (1-a) E_q[log q - log r] + a E_P[log P - log r], with r = g' for jsg_mc
+    # and the mixture for jsa_mc
+    n = w.shape[0]
+    div = ad.Tensor(0.0)
     if alpha < 1.0:
-        for sampled in sampled_per_draw:
-            lq = _log_q(sampled, leaves)
-            lp = _log_prior_of_sampled(net, sampled)
-            term_q = term_q + lq - log_mix(lq, lp)
-        term_q = term_q * ((1.0 - alpha) / n)
-    term_p = ad.Tensor(0.0)
+        log_q = _log_normal(w, mu, vq)
+        log_r = _log_normal(w, mg, vg) if kind == "jsg_mc" else log_mix(log_q, _log_normal(w, mp, vp))
+        div = div + (log_q - log_r).sum() * ((1.0 - alpha) / n)
     if alpha > 0.0:
-        for values in bundle.prior_draws:
-            lq = _log_q_of_constant(values, leaves)
-            lp = ad.Tensor(_log_prior(net, values))
-            term_p = term_p + lp - log_mix(lq, lp)
-        term_p = term_p * (alpha / n)
-    return term_q + term_p
+        log_p = _log_normal(prior, mp, vp)
+        log_r = _log_normal(prior, mg, vg) if kind == "jsg_mc" else log_mix(_log_normal(prior, mu, vq), log_p)
+        div = div + (log_p - log_r).sum() * (alpha / n)
+    return div
 
 
 def build_loss_graph(net: BayesianNetwork, batch, kind: str, cfg: DivergenceConfig,
                      minibatch_scale: float, bundle: NoiseBundle):
-    """Assemble the full loss graph; returns (total, divergence, nll, leaves).
+    """Assemble the full loss graph; returns (total, divergence, nll, (mu, rho)).
 
-    The divergence tensor already carries the constraint weight lam (fixed to 1
-    for the plain KL loss); total = minibatch_scale * divergence + nll.
-    An empty batch yields nll = 0, i.e. a pure divergence objective.
+    mu and rho are the two leaf tensors, the flat posterior parameters in the
+    network's layout. The divergence tensor already carries the constraint
+    weight lam (fixed to 1 for the plain KL loss); total = minibatch_scale *
+    divergence + nll. An empty batch yields nll = 0, i.e. a pure divergence
+    objective.
     """
     if kind not in LOSS_KINDS:
         raise ValueError(f"unknown loss kind {kind!r}; expected one of {LOSS_KINDS}")
     if not 0.0 < minibatch_scale <= 1.0:
         raise ValueError(f"minibatch_scale must lie in (0, 1], got {minibatch_scale}")
     x, y = _validate_batch(net, batch)
-    leaves = _make_leaves(net)
-    sampled_per_draw = [_sampled_params(leaves, net, eps) for eps in bundle.epsilons]
+    mu_flat, rho_flat = net.flat_params()
+    mu, rho = ad.Tensor(mu_flat), ad.Tensor(rho_flat)
+    sigma = ad.softplus(rho)
+    w = mu + sigma * bundle.eps
 
     nll = ad.Tensor(0.0)
     if x.shape[0]:
-        for sampled in sampled_per_draw:
-            nll = nll + _cross_entropy(_forward_graph(net, sampled, x), y)
-        nll = nll * (1.0 / cfg.mc_samples)
+        nll = _cross_entropy(_logits_graph(net, w, x), y) * (1.0 / bundle.eps.shape[0])
 
-    if kind == "kl":
-        div = _kl_closed_graph(net, leaves)
-    elif kind == "jsg_closed":
-        div = _jsg_closed_graph(net, leaves, cfg.alpha) * cfg.lam
-    else:
-        div = _mc_divergence_graph(net, leaves, sampled_per_draw, bundle, cfg, kind) * cfg.lam
-
+    mp, sp = net.flat_prior()
+    div = _divergence_graph(kind, cfg.alpha, mu, sigma * sigma, mp, sp**2, w, bundle.prior)
+    if kind != "kl":
+        div = div * cfg.lam
     total = div * minibatch_scale + nll
-    return total, div, nll, leaves
+    return total, div, nll, (mu, rho)
 
 
 def _evaluate(net, batch, kind, cfg, minibatch_scale, step) -> LossBreakdown:
-    with_prior = kind in ("jsg_mc", "jsa_mc")
-    bundle = draw_bundle(net, cfg, step, with_prior=with_prior)
+    bundle = draw_bundle(net, cfg, step, with_prior=kind in MC_KINDS)
     total, div, nll, _ = build_loss_graph(net, batch, kind, cfg, minibatch_scale, bundle)
     return LossBreakdown(
         divergence_term=div.item(),
@@ -384,20 +254,17 @@ def nll_mc(net: BayesianNetwork, batch, n_samples: int, seed) -> float:
     """Monte-Carlo expected negative log likelihood of a labeled batch.
 
     -(1/n_samples) * sum_i sum_(x,y) log softmax(forward(x, eps_i))[y].
+    The noise comes from the stream [seed, 0], or [*seed, 0] for a seed sequence.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     x, y = _validate_batch(net, batch)
     if not x.shape[0]:
         raise ValueError("batch must be non-empty")
-    cfg = DivergenceConfig(mc_samples=n_samples, seed=seed)
-    bundle = draw_bundle(net, cfg, 0)
-    leaves = _make_leaves(net)
-    nll = ad.Tensor(0.0)
-    for eps in bundle.epsilons:
-        sampled = _sampled_params(leaves, net, eps)
-        nll = nll + _cross_entropy(_forward_graph(net, sampled, x), y)
-    return nll.item() / n_samples
+    stream, _ = _stream_seeds(seed, None)
+    bundle = _draw(net, np.random.default_rng(stream), n_samples, with_prior=False)
+    _, _, nll, _ = build_loss_graph(net, (x, y), "kl", DivergenceConfig(), 1.0, bundle)
+    return nll.item()
 
 
 def kl_loss(net, batch, cfg: DivergenceConfig, minibatch_scale: float = 1.0, step: int = 0) -> LossBreakdown:

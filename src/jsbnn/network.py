@@ -1,9 +1,12 @@
 """Variational fully-connected networks: sampled forward pass and MC predictive.
 
-A network holds per-layer (mu, rho) pairs for weights and biases; every forward
-pass consumes explicit per-layer noise, so evaluation is deterministic given
-the noise and safe to run concurrently. Parameters are only mutated by the
-training loop, which is single-writer.
+A network holds per-layer (mu, rho) pairs for weights and biases. Its flat
+layout orders all P parameters layer by layer, weights (row-major
+(fan_in, fan_out)) before biases; `flat_params` and `set_flat_params` move
+(mu, rho) between that layout and the layers. Every forward pass consumes
+explicit noise, so evaluation is deterministic given the noise and safe to run
+concurrently. Parameters are only mutated by the training loop, which is
+single-writer.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ __all__ = [
     "predictive",
     "zero_noise",
     "draw_noise",
+    "flatten_noise",
     "save_checkpoint",
     "load_checkpoint",
 ]
@@ -103,6 +107,42 @@ class BayesianNetwork:
     def prior_for(self, n: int) -> DiagonalGaussian:
         return self.prior.broadcast_to(n)
 
+    def layout(self) -> list:
+        """Per layer, the ((slice, shape) of the weights, (slice, shape) of the biases)
+        in the flat parameter vector."""
+        out, pos = [], 0
+        for l in self.layers:
+            w = slice(pos, pos + l.weights.dim)
+            b = slice(w.stop, w.stop + l.biases.dim)
+            pos = b.stop
+            out.append(((w, (l.fan_in, l.fan_out)), (b, (l.fan_out,))))
+        return out
+
+    def _tensors(self):
+        for l in self.layers:
+            yield l.weights
+            yield l.biases
+
+    def flat_params(self):
+        """Fresh (mu, rho) vectors of all P parameters in layout order."""
+        tensors = list(self._tensors())
+        return np.concatenate([t.mu for t in tensors]), np.concatenate([t.rho for t in tensors])
+
+    def set_flat_params(self, mu: np.ndarray, rho: np.ndarray):
+        """Store flat (mu, rho) vectors into the layers, as views of the given arrays."""
+        for layer, ((w, _), (b, _)) in zip(self.layers, self.layout()):
+            layer.weights = VariationalParams(mu[w], rho[w])
+            layer.biases = VariationalParams(mu[b], rho[b])
+
+    def flat_prior(self):
+        """Prior (mu, sigma) of every parameter, as flat vectors in layout order.
+
+        Each tensor gets the prior broadcast to its length, as in `prior_for`.
+        """
+        dims = [(t.dim,) for t in self._tensors()]
+        return tuple(np.concatenate([np.broadcast_to(v, d) for d in dims])
+                     for v in (self.prior.mu, self.prior.sigma))
+
     def copy(self) -> "BayesianNetwork":
         layers = [
             VariationalDenseLayer(
@@ -165,29 +205,49 @@ def draw_noise(net: BayesianNetwork, rng: np.random.Generator) -> list:
     ]
 
 
+def flatten_noise(net: BayesianNetwork, epsilons) -> np.ndarray:
+    """Per-layer noise as one vector in the network's flat layout."""
+    if len(epsilons) != len(net.layers):
+        raise ValueError("need one noise entry per layer")
+    for layer, eps in zip(net.layers, epsilons):
+        if eps.weights.shape != (layer.weights.dim,) or eps.biases.shape != (layer.biases.dim,):
+            raise ValueError("noise shapes do not match layer parameters")
+    return np.concatenate([a for eps in epsilons for a in (eps.weights, eps.biases)])
+
+
+def _as_batch(net: BayesianNetwork, x):
+    x = np.asarray(x, dtype=np.float64)
+    single = x.ndim == 1
+    h = x.reshape(1, -1) if single else x
+    if h.shape[1] != net.n_inputs:
+        raise ValueError(f"input has {h.shape[1]} features, expected {net.n_inputs}")
+    return h, single
+
+
+def _sample_params(net: BayesianNetwork, eps: np.ndarray) -> np.ndarray:
+    """Reparameterized samples mu + softplus(rho) * eps for (S, P) noise."""
+    mu, rho = net.flat_params()
+    return mu + softplus_sigma(rho) * eps
+
+
+def _logits(net: BayesianNetwork, h: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """(S, n, k) logits of the (n, d) inputs h under the (S, P) parameter samples w."""
+    for layer, ((ws, w_shape), (bs, _)) in zip(net.layers, net.layout()):
+        h = h @ w[:, ws].reshape(-1, *w_shape)
+        h += w[:, None, bs]  # in place: one activation array per layer is alive
+        if layer.activation == "relu":
+            np.maximum(h, 0.0, out=h)
+    return h
+
+
 def forward(net: BayesianNetwork, x, epsilons) -> np.ndarray:
     """Deterministic logits for input x under the weights sampled with `epsilons`.
 
     x may be a single feature vector or a (batch, features) matrix; the result
     has the matching shape. Weights are w = mu + softplus(rho) * eps per layer.
     """
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    h = x.reshape(1, -1) if single else x
-    if h.shape[1] != net.n_inputs:
-        raise ValueError(f"input has {h.shape[1]} features, expected {net.n_inputs}")
-    if len(epsilons) != len(net.layers):
-        raise ValueError("need one noise entry per layer")
-    for layer, eps in zip(net.layers, epsilons):
-        if eps.weights.shape != (layer.weights.dim,) or eps.biases.shape != (layer.biases.dim,):
-            raise ValueError("noise shapes do not match layer parameters")
-        w = (layer.weights.mu + softplus_sigma(layer.weights.rho) * eps.weights).reshape(
-            layer.fan_in, layer.fan_out
-        )
-        b = layer.biases.mu + softplus_sigma(layer.biases.rho) * eps.biases
-        h = h @ w + b
-        if layer.activation == "relu":
-            h = np.maximum(h, 0.0)
+    h, single = _as_batch(net, x)
+    h = _logits(net, h, _sample_params(net, flatten_noise(net, epsilons)[None, :]))[0]
     return h[0] if single else h
 
 
@@ -198,21 +258,32 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / np.sum(e, axis=-1, keepdims=True)
 
 
+# floats per activation array of one batched predictive pass (512 KB): small
+# enough to stay in cache, which measured as fast as one pass over all samples
+_PREDICTIVE_CHUNK_FLOATS = 1 << 16
+
+
 def predictive(net: BayesianNetwork, x, n_samples: int, seed) -> np.ndarray:
     """Monte-Carlo predictive class probabilities, (1/n) * sum_i softmax(forward(x, eps_i)).
 
-    Each row is a probability simplex point. Deterministic for a fixed seed.
+    Each row is a probability simplex point. Deterministic for a fixed seed:
+    sample i uses row i of one (n_samples, P) standard-normal block, which is
+    the draw order of n_samples successive `draw_noise` calls. Samples run in
+    batched passes sized so that no activation array exceeds 512 KB.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     rng = np.random.default_rng(seed)
-    x = np.asarray(x, dtype=np.float64)
-    acc = None
-    for _ in range(n_samples):
-        eps = draw_noise(net, rng)
-        probs = softmax(forward(net, x, eps))
-        acc = probs if acc is None else acc + probs
-    return acc / n_samples
+    h, single = _as_batch(net, x)
+    widest = max(l.fan_out for l in net.layers)
+    chunk = max(1, _PREDICTIVE_CHUNK_FLOATS // max(1, h.shape[0] * widest))
+    acc = np.zeros((h.shape[0], net.n_outputs))
+    for start in range(0, n_samples, chunk):
+        eps = rng.standard_normal((min(chunk, n_samples - start), net.n_parameters))
+        for probs in softmax(_logits(net, h, _sample_params(net, eps))):
+            acc += probs  # sample by sample, the summation order of a plain loop
+    acc /= n_samples
+    return acc[0] if single else acc
 
 
 def _params_to_lists(p: VariationalParams) -> dict:
@@ -236,10 +307,17 @@ def save_checkpoint(net: BayesianNetwork, path, seed_lineage=None):
 
 
 def load_checkpoint(path) -> BayesianNetwork:
-    """Rebuild a network from `save_checkpoint` output."""
+    """Rebuild a network from `save_checkpoint` output; ValueError if it is malformed."""
     raw = json.loads(Path(path).read_text())
-    if raw.get("format") != "jsbnn-checkpoint-v1":
+    if not isinstance(raw, dict) or raw.get("format") != "jsbnn-checkpoint-v1":
         raise ValueError(f"{path}: not a jsbnn checkpoint")
+    try:
+        return _network_from_checkpoint(raw)
+    except (KeyError, IndexError, TypeError) as err:
+        raise ValueError(f"{path}: malformed checkpoint, {type(err).__name__}: {err}") from None
+
+
+def _network_from_checkpoint(raw: dict) -> BayesianNetwork:
     sizes = raw["sizes"]
     layers = []
     for i, spec in enumerate(raw["layers"]):

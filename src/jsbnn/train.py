@@ -13,8 +13,7 @@ import numpy as np
 
 from .divergence import DivergenceConfig
 from .errors import AllTrialsDivergedError, NumericError
-from .gaussian import VariationalParams
-from .loss import LOSS_KINDS, LossBreakdown, build_loss_graph, draw_bundle
+from .loss import LOSS_KINDS, MC_KINDS, LossBreakdown, build_loss_graph, draw_bundle
 from .metrics import accuracy
 from .network import BayesianNetwork, predictive
 
@@ -35,7 +34,7 @@ TRACE_CSV_HEADER = "epoch,train_acc,val_acc,divergence_term,nll_term,total,lr"
 
 @dataclass(frozen=True)
 class OptimizerState:
-    """Plain SGD state: learning rate, (epoch, multiplier) schedule, step count.
+    """Plain SGD state: learning rate, (epoch, multiplier) schedule, momentum.
 
     Momentum is available but off by default; the reference update is the
     vanilla step mu <- mu - lr * dF/dmu, rho <- rho - lr * dF/drho.
@@ -43,7 +42,6 @@ class OptimizerState:
 
     learning_rate: float
     schedule: tuple = ()
-    step_count: int = 0
     momentum: float = 0.0
 
     def __post_init__(self):
@@ -88,18 +86,33 @@ class SearchSpace:
 
 @dataclass
 class ParamGradients:
-    """Per-layer gradients, mirroring the (mu, rho) layout of the network."""
+    """Gradients of the flat (mu, rho) vectors, in the network's layout.
 
-    w_mu: list
-    w_rho: list
-    b_mu: list
-    b_rho: list
+    w_mu, w_rho, b_mu and b_rho give per-layer views into them.
+    """
 
-    def max_abs(self) -> float:
-        return max(
-            max(np.max(np.abs(g)) for g in part)
-            for part in (self.w_mu, self.w_rho, self.b_mu, self.b_rho)
-        )
+    mu: np.ndarray
+    rho: np.ndarray
+    layout: list
+
+    def _views(self, flat, which):
+        return [flat[parts[which][0]] for parts in self.layout]
+
+    @property
+    def w_mu(self) -> list:
+        return self._views(self.mu, 0)
+
+    @property
+    def w_rho(self) -> list:
+        return self._views(self.rho, 0)
+
+    @property
+    def b_mu(self) -> list:
+        return self._views(self.mu, 1)
+
+    @property
+    def b_rho(self) -> list:
+        return self._views(self.rho, 1)
 
 
 def gradients(net: BayesianNetwork, batch, loss_kind: str, cfg: DivergenceConfig,
@@ -113,21 +126,15 @@ def gradients(net: BayesianNetwork, batch, loss_kind: str, cfg: DivergenceConfig
     """
     if loss_kind not in LOSS_KINDS:
         raise ValueError(f"unknown loss kind {loss_kind!r}; expected one of {LOSS_KINDS}")
-    with_prior = loss_kind in ("jsg_mc", "jsa_mc")
-    bundle = draw_bundle(net, cfg, step, with_prior=with_prior)
-    total, div, nll, leaves = build_loss_graph(net, batch, loss_kind, cfg, minibatch_scale, bundle)
+    bundle = draw_bundle(net, cfg, step, with_prior=loss_kind in MC_KINDS)
+    total, div, nll, (mu, rho) = build_loss_graph(net, batch, loss_kind, cfg, minibatch_scale, bundle)
     total.backward()
-    grads = ParamGradients(
-        w_mu=[l.w_mu.grad for l in leaves],
-        w_rho=[l.w_rho.grad for l in leaves],
-        b_mu=[l.b_mu.grad for l in leaves],
-        b_rho=[l.b_rho.grad for l in leaves],
-    )
-    for i, l in enumerate(leaves):
-        for name, g in (("weights mu", l.w_mu.grad), ("weights rho", l.w_rho.grad),
-                        ("biases mu", l.b_mu.grad), ("biases rho", l.b_rho.grad)):
-            if not np.all(np.isfinite(g)):
-                raise NumericError(f"non-finite gradient in layer {i} {name}")
+    grads = ParamGradients(mu.grad, rho.grad, net.layout())
+    for i, parts in enumerate(grads.layout):
+        for (cols, _), tensor in zip(parts, ("weights", "biases")):
+            for name, g in (("mu", grads.mu), ("rho", grads.rho)):
+                if not np.all(np.isfinite(g[cols])):
+                    raise NumericError(f"non-finite gradient in layer {i} {tensor} {name}")
     breakdown = LossBreakdown(
         divergence_term=div.item(), nll_term=nll.item(), total=total.item(),
         minibatch_scale=minibatch_scale,
@@ -142,15 +149,16 @@ class TrainResult:
     trace holds one row per completed epoch:
     (epoch, train_acc, val_acc, divergence_term, nll_term, total, lr),
     where the loss columns are epoch means over minibatch breakdowns.
-    best_params snapshots the epoch with the highest validation accuracy.
-    aborted is set when a non-finite loss or gradient forced a stop; the
+    best_params holds the flat (mu, rho) of the epoch with the highest validation
+    accuracy.
+    aborted is set when a non-finite loss, gradient or update forced a stop; the
     network is then rolled back to the last finite state.
     """
 
     trace: list = field(default_factory=list)
     best_epoch: int = -1
     best_val_acc: float = -1.0
-    best_params: list = None
+    best_params: tuple = None
     aborted: bool = False
     abort_reason: str = ""
     step_breakdowns: list = field(default_factory=list)
@@ -165,32 +173,22 @@ class TrainResult:
         return [b.csv_row(s) for s, b in self.step_breakdowns]
 
 
-def _snapshot(net: BayesianNetwork) -> list:
-    return [
-        (l.weights.mu.copy(), l.weights.rho.copy(), l.biases.mu.copy(), l.biases.rho.copy())
-        for l in net.layers
-    ]
-
-
-def _restore(net: BayesianNetwork, snap: list):
-    for layer, (wm, wr, bm, br) in zip(net.layers, snap):
-        layer.weights = VariationalParams(wm.copy(), wr.copy())
-        layer.biases = VariationalParams(bm.copy(), br.copy())
-
-
 def _apply_update(net: BayesianNetwork, grads: ParamGradients, lr: float,
-                  momentum: float, velocity):
-    for i, layer in enumerate(net.layers):
-        steps = []
-        for g, key in ((grads.w_mu[i], "w_mu"), (grads.w_rho[i], "w_rho"),
-                       (grads.b_mu[i], "b_mu"), (grads.b_rho[i], "b_rho")):
-            if momentum > 0.0:
-                velocity[i][key] = momentum * velocity[i][key] + g
-                steps.append(lr * velocity[i][key])
-            else:
-                steps.append(lr * g)
-        layer.weights = VariationalParams(layer.weights.mu - steps[0], layer.weights.rho - steps[1])
-        layer.biases = VariationalParams(layer.biases.mu - steps[2], layer.biases.rho - steps[3])
+                  momentum: float, velocity: np.ndarray):
+    """One SGD step on the flat (mu, rho); velocity is the (2, P) momentum buffer.
+
+    Raises NumericError, leaving the network unchanged, if the step overflows.
+    """
+    steps = (grads.mu, grads.rho)
+    if momentum > 0.0:
+        velocity *= momentum
+        velocity += steps
+        steps = velocity
+    mu, rho = net.flat_params()
+    mu, rho = mu - lr * steps[0], rho - lr * steps[1]
+    if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(rho))):
+        raise NumericError("non-finite parameters after the update")
+    net.set_flat_params(mu, rho)
 
 
 def _epoch_accuracy(net, x, y, n_samples, seed) -> float:
@@ -227,14 +225,9 @@ def train(net: BayesianNetwork, dataset, loss_kind: str, cfg: DivergenceConfig,
     n_batches = max(1, int(np.ceil(x_train.shape[0] / batch_size)))
     scale = 1.0 / n_batches
     opt = optimizer
-    velocity = [
-        {key: np.zeros(dim) for key, dim in (
-            ("w_mu", l.weights.dim), ("w_rho", l.weights.dim),
-            ("b_mu", l.biases.dim), ("b_rho", l.biases.dim))}
-        for l in net.layers
-    ]
+    velocity = np.zeros((2, net.n_parameters))
     result = TrainResult()
-    last_good = _snapshot(net)
+    last_good = net.flat_params()
     step = 0
     for epoch in range(1, epochs + 1):
         opt = apply_schedule(opt, epoch)
@@ -247,25 +240,21 @@ def train(net: BayesianNetwork, dataset, loss_kind: str, cfg: DivergenceConfig,
                 # overflow here is an expected, handled failure mode (abort below)
                 with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                     grads, breakdown = gradients(net, batch, loss_kind, cfg, scale, step)
-                if not np.isfinite(breakdown.total):
-                    raise NumericError(f"non-finite loss at step {step}")
-                if step_log:
-                    result.step_breakdowns.append((step, breakdown))
-                _apply_update(net, grads, opt.learning_rate, opt.momentum, velocity)
+                    if not np.isfinite(breakdown.total):
+                        raise NumericError(f"non-finite loss at step {step}")
+                    if step_log:
+                        result.step_breakdowns.append((step, breakdown))
+                    _apply_update(net, grads, opt.learning_rate, opt.momentum, velocity)
                 sum_div += breakdown.divergence_term
                 sum_nll += breakdown.nll_term
                 sum_total += breakdown.total
                 step += 1
-            for layer in net.layers:
-                if not (np.all(np.isfinite(layer.weights.mu)) and np.all(np.isfinite(layer.weights.rho))
-                        and np.all(np.isfinite(layer.biases.mu)) and np.all(np.isfinite(layer.biases.rho))):
-                    raise NumericError(f"non-finite parameters after epoch {epoch}")
         except NumericError as err:
-            _restore(net, last_good)
+            restore_params(net, last_good)
             result.aborted = True
             result.abort_reason = str(err)
             break
-        last_good = _snapshot(net)
+        last_good = net.flat_params()
         train_acc = _epoch_accuracy(net, x_train, y_train, eval_samples, [int(cfg.seed), 3, epoch, 0])
         val_acc = _epoch_accuracy(net, x_val, y_val, eval_samples, [int(cfg.seed), 3, epoch, 1])
         result.trace.append((
@@ -273,23 +262,23 @@ def train(net: BayesianNetwork, dataset, loss_kind: str, cfg: DivergenceConfig,
             sum_div / n_batches, sum_nll / n_batches, sum_total / n_batches,
             opt.learning_rate,
         ))
-        opt = replace(opt, step_count=step)
         if not np.isnan(val_acc) and val_acc > result.best_val_acc:
             result.best_val_acc = val_acc
             result.best_epoch = epoch
-            result.best_params = _snapshot(net)
+            result.best_params = net.flat_params()
         if (early_stop_patience is not None and result.best_epoch >= 1
                 and epoch - result.best_epoch >= early_stop_patience):
             break
     if result.best_params is None:
-        result.best_params = _snapshot(net)
+        result.best_params = net.flat_params()
         result.best_epoch = len(result.trace)
     return result
 
 
-def restore_params(net: BayesianNetwork, params: list):
-    """Load a parameter snapshot (e.g. TrainResult.best_params) into the network."""
-    _restore(net, params)
+def restore_params(net: BayesianNetwork, params: tuple):
+    """Load a flat (mu, rho) snapshot (e.g. TrainResult.best_params) into the network."""
+    mu, rho = params
+    net.set_flat_params(mu.copy(), rho.copy())
 
 
 def random_search(space: SearchSpace, experiment, seed: int):

@@ -48,6 +48,27 @@ class TestPrimitives:
         a = RNG.normal(size=(5, 3))
         check_gradient(lambda t: ((ad.Tensor(a) @ t) ** 2).sum(), x0.copy())
 
+    def test_batched_matmul_broadcasts_leading_axis(self):
+        # (n, d) @ (S, d, k) and (S, n, d) @ (d, k): the unbatched side's
+        # gradient sums over the sample axis
+        x0 = RNG.normal(size=(4, 3))
+        w = RNG.normal(size=(5, 3, 2))
+        check_gradient(lambda t: ((t @ ad.Tensor(w)) ** 2).sum(), x0)
+        check_gradient(lambda t: ((ad.Tensor(x0) @ t) ** 2).sum(), w.copy())
+        h0 = RNG.normal(size=(5, 4, 3))
+        check_gradient(lambda t: ((t @ ad.Tensor(x0.T)) ** 2).sum(), h0)
+        check_gradient(lambda t: ((ad.Tensor(h0) @ t) ** 2).sum(), x0.T.copy())
+
+    def test_columns(self):
+        x0 = RNG.normal(size=(3, 7))
+        check_gradient(lambda t: (ad.columns(t, slice(2, 5)) ** 2).sum(), x0)
+        w = RNG.normal(size=(2, 3))
+        check_gradient(
+            lambda t: ((ad.columns(t, slice(1, 7)).reshape((3, 2, 3)) * w) ** 2).sum()
+            + ad.columns(t, slice(0, 1)).sum(),
+            x0,
+        )
+
     def test_reshape(self):
         x0 = RNG.normal(size=6)
         w = RNG.normal(size=(3, 2))
@@ -96,6 +117,11 @@ class TestPrimitives:
         x0 = RNG.normal(size=(5, 3))
         idx = np.array([0, 2, 1, 2, 0])
         check_gradient(lambda t: (ad.gather_rows(t, idx) ** 2).sum(), x0)
+        # one row pick per sample of a leading (S, n, k) axis
+        x3 = RNG.normal(size=(4, 5, 3))
+        check_gradient(lambda t: (ad.gather_rows(t, idx) ** 2).sum(), x3)
+        picked = ad.gather_rows(ad.Tensor(x3), idx).value
+        np.testing.assert_array_equal(picked, np.stack([s[np.arange(5), idx] for s in x3]))
 
     def test_sum_axis(self):
         x0 = RNG.normal(size=(3, 4))

@@ -133,6 +133,22 @@ class TestTrainCommand:
     def test_missing_config_file(self, tmp_path):
         assert main(["train", "--config", str(tmp_path / "nope.json"), "--seed", "3"]) == 2
 
+    @pytest.mark.parametrize("body", [
+        "x0,x1,label\n0.1,0.2,0\n",  # header does not match the schema
+        "f0,f1,label\n0.1,abc,0\n",  # non-numeric feature cell
+    ])
+    def test_malformed_csv_is_config_error(self, tmp_path, capsys, body):
+        csv_path = tmp_path / "data.csv"
+        csv_path.write_text(body)
+        path = write_config(tmp_path)
+        doc = json.loads(path.read_text())
+        doc["dataset"] = {"kind": "csv", "path": str(csv_path), "n_features": 2,
+                          "n_classes": 2, "seed": 1, "noise_sigma": 0.0,
+                          "split_fractions": [0.6, 0.2, 0.2]}
+        path.write_text(json.dumps(doc))
+        assert main(["train", "--config", str(path), "--seed", "3"]) == 2
+        assert "config error:" in capsys.readouterr().err
+
 
 class TestEvalCommand:
     def test_eval_after_train(self, tmp_path):
@@ -150,6 +166,18 @@ class TestEvalCommand:
         path = write_config(tmp_path)
         assert main(["eval", "--checkpoint", str(tmp_path / "nope.json"),
                      "--config", str(path), "--seed", "3"]) == 2
+
+    @pytest.mark.parametrize("key", ["sizes", "layers", "prior"])
+    def test_checkpoint_missing_key_is_config_error(self, tmp_path, capsys, key):
+        path = write_config(tmp_path, epochs=1)
+        main(["train", "--config", str(path), "--seed", "3"])
+        ck = tmp_path / "out" / "checkpoint.json"
+        doc = json.loads(ck.read_text())
+        del doc[key]
+        ck.write_text(json.dumps(doc))
+        assert main(["eval", "--checkpoint", str(ck), "--config", str(path),
+                     "--seed", "3"]) == 2
+        assert "config error:" in capsys.readouterr().err
 
     def test_shape_mismatch(self, tmp_path):
         path = write_config(tmp_path)

@@ -1,6 +1,7 @@
 """Tests for the three training objectives and their breakdown contracts."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,13 +13,19 @@ from jsbnn.loss import (
     LossBreakdown,
     NoiseBundle,
     build_loss_graph,
+    draw_bundle,
     jsa_loss_mc,
     jsg_loss_closed,
     jsg_loss_mc,
     kl_loss,
     nll_mc,
 )
-from jsbnn.network import BayesianNetwork, VariationalDenseLayer
+from jsbnn.config import load_config
+from jsbnn.network import BayesianNetwork, VariationalDenseLayer, draw_noise, flatten_noise, forward
+from jsbnn.train import gradients
+from test_train import grads_to_vec
+
+DEMO_CONFIG = Path(__file__).resolve().parent.parent / "demos" / "experiment_config.json"
 
 
 def rho_for_sigma(sigma: float) -> float:
@@ -90,10 +97,24 @@ class TestNllMc:
             np.array(golden_nll_case["inputs"]["x"]),
             np.array(golden_nll_case["inputs"]["y"]),
         )
-        bundle = NoiseBundle(epsilons=[eps], prior_draws=[])
+        bundle = NoiseBundle(flatten_noise(net, eps)[None, :])
         cfg = DivergenceConfig(mc_samples=1, seed=0)
         _, _, nll, _ = build_loss_graph(net, batch, "kl", cfg, 1.0, bundle)
         assert nll.item() == pytest.approx(golden_nll_case["expected"], rel=1e-12)
+
+    def test_seed_sequence_uses_stream_with_trailing_zero(self):
+        # seed=[1, 2] draws from the stream [1, 2, 0], as an integer seed s uses [s, 0]
+        net = random_net(np.random.default_rng(17))
+        x, y = random_batch(np.random.default_rng(18), net)
+        rng = np.random.default_rng([1, 2, 0])
+        expected = 0.0
+        for _ in range(3):
+            logits = forward(net, x, draw_noise(net, rng))
+            m = logits.max(axis=1, keepdims=True)
+            lse = (m + np.log(np.exp(logits - m).sum(axis=1, keepdims=True)))[:, 0]
+            expected += float(np.sum(lse - logits[np.arange(len(y)), y]))
+        assert nll_mc(net, (x, y), 3, [1, 2]) == pytest.approx(expected / 3, rel=1e-12)
+        assert nll_mc(net, (x, y), 3, [5]) == nll_mc(net, (x, y), 3, 5)
 
     def test_label_out_of_range(self):
         net = BayesianNetwork.initialize((2, 2), DiagonalGaussian([0.0], [1.0]), 0)
@@ -270,6 +291,22 @@ class TestJsaMcLoss:
                 se = vals.std(ddof=1) / math.sqrt(len(vals))
                 assert vals.mean() <= lam * jsa_bound(alpha) + 3 * se
 
+    @pytest.mark.parametrize("mc_samples", [1, 8])
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
+    def test_saturates_at_bound_on_demo_net(self, alpha, mc_samples):
+        # log q and log P of the 354-parameter demo net at init differ by ~1e3
+        # nats, so the full-vector log-mixture sits on its bound and the
+        # divergence passes no gradient; pins the estimator to the paper's form
+        cfg = load_config(DEMO_CONFIG, {"seed": 1})
+        net = cfg.build_network()
+        assert net.n_parameters == 354
+        empty = (np.zeros((0, 2)), np.array([], dtype=int))
+        dcfg = DivergenceConfig(alpha=alpha, lam=1.0, mc_samples=mc_samples, seed=4)
+        out = jsa_loss_mc(net, empty, dcfg)
+        assert abs(out.divergence_term - jsa_bound(alpha)) <= 1e-12
+        grads, _ = gradients(net, empty, "jsa_mc", dcfg)
+        assert np.linalg.norm(grads_to_vec(grads)) == 0.0
+
     def test_lambda_zero(self):
         rng = np.random.default_rng(13)
         net = random_net(rng)
@@ -296,6 +333,32 @@ class TestSharedSampling:
                 "jsa_mc": jsa_loss_mc(net, batch, cfg).nll_term,
             }
             assert len({round(v, 14) for v in nll_vals.values()}) == 1
+
+    @pytest.mark.parametrize("mc_samples", [1, 5])
+    def test_noise_blocks_equal_per_layer_draws(self, mc_samples):
+        # row s of the (S, P) blocks is sample s of the per-layer draw order:
+        # all posterior noise first, then the prior draws, layer by layer,
+        # weights before biases
+        net = random_net(np.random.default_rng(19), sizes=(2, 4, 3, 2))
+        cfg = DivergenceConfig(mc_samples=mc_samples, seed=23)
+        bundle = draw_bundle(net, cfg, step=7, with_prior=True)
+        rng = np.random.default_rng([23, 7])
+        eps = [
+            np.concatenate([rng.standard_normal(n) for l in net.layers
+                            for n in (l.weights.dim, l.biases.dim)])
+            for _ in range(mc_samples)
+        ]
+        prior = []
+        for _ in range(mc_samples):
+            row = []
+            for l in net.layers:
+                for n in (l.weights.dim, l.biases.dim):
+                    p = net.prior_for(n)
+                    row.append(p.mu + p.sigma * rng.standard_normal(n))
+            prior.append(np.concatenate(row))
+        np.testing.assert_array_equal(bundle.eps, np.array(eps))
+        np.testing.assert_array_equal(bundle.prior, np.array(prior))
+        assert draw_bundle(net, cfg, step=7).prior is None
 
     def test_step_changes_noise(self):
         rng = np.random.default_rng(15)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import build_golden_net, build_golden_noise
+from jsbnn import network
 from jsbnn.gaussian import DiagonalGaussian, VariationalParams
 from jsbnn.network import (
     BayesianNetwork,
@@ -116,6 +117,36 @@ class TestPredictive:
         expected /= expected.sum()
         np.testing.assert_allclose(p1, expected, rtol=1e-12)
 
+    def test_bit_identical_to_per_sample_loop(self):
+        # reference: one per-layer noise draw and one plain numpy pass per sample
+        net = small_net(seed=13, sizes=(2, 16, 16, 2))
+        for layer in net.layers:
+            layer.weights = VariationalParams(layer.weights.mu, np.full(layer.weights.dim, -1.5))
+        x = np.random.default_rng(14).normal(size=(37, 2))
+        rng = np.random.default_rng([5, 6])
+        acc = None
+        for _ in range(23):
+            h = x
+            for layer in net.layers:
+                ew = rng.standard_normal(layer.weights.dim)
+                eb = rng.standard_normal(layer.biases.dim)
+                w = layer.weights.mu + np.logaddexp(0.0, layer.weights.rho) * ew
+                b = layer.biases.mu + np.logaddexp(0.0, layer.biases.rho) * eb
+                h = h @ w.reshape(layer.fan_in, layer.fan_out) + b
+                if layer.activation == "relu":
+                    h = np.maximum(h, 0.0)
+            e = np.exp(h - h.max(axis=1, keepdims=True))
+            probs = e / e.sum(axis=1, keepdims=True)
+            acc = probs if acc is None else acc + probs
+        np.testing.assert_array_equal(predictive(net, x, 23, [5, 6]), acc / 23)
+
+    def test_sample_chunks_do_not_change_the_result(self, monkeypatch):
+        net = small_net(seed=15)
+        x = np.random.default_rng(16).normal(size=(9, 2))
+        whole = predictive(net, x, 11, 3)
+        monkeypatch.setattr(network, "_PREDICTIVE_CHUNK_FLOATS", 9 * 16 * 4)  # 4 samples a pass
+        np.testing.assert_array_equal(predictive(net, x, 11, 3), whole)
+
     def test_all_zero_logits_uniform(self):
         net = small_net()
         for layer in net.layers:
@@ -178,6 +209,28 @@ class TestInitialization:
         prior = DiagonalGaussian([0.0], [1.0])
         with pytest.raises(ValueError):
             BayesianNetwork(layers=[identity_layer(2), identity_layer(3)], prior=prior)
+
+
+class TestFlatLayout:
+    def test_layout_covers_every_parameter_in_layer_order(self):
+        net = small_net(sizes=(2, 16, 16, 2))
+        pos = 0
+        for layer, ((w, w_shape), (b, b_shape)) in zip(net.layers, net.layout()):
+            assert (w.start, w.stop, w_shape) == (pos, pos + layer.weights.dim, (layer.fan_in, layer.fan_out))
+            assert (b.start, b.stop, b_shape) == (w.stop, w.stop + layer.biases.dim, (layer.fan_out,))
+            pos = b.stop
+        assert pos == net.n_parameters == 354
+
+    def test_flat_params_round_trip(self):
+        net = small_net(seed=2)
+        mu, rho = net.flat_params()
+        other = small_net(seed=3)
+        other.set_flat_params(mu, rho)
+        for a, b in zip(net.layers, other.layers):
+            np.testing.assert_array_equal(a.weights.mu, b.weights.mu)
+            np.testing.assert_array_equal(a.biases.rho, b.biases.rho)
+        flat_mu, _ = other.flat_params()
+        np.testing.assert_array_equal(flat_mu, mu)
 
 
 class TestCheckpoint:

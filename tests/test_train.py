@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from jsbnn.data import split, synth_clusters
+from jsbnn import autodiff as ad
+from jsbnn.data import Dataset, split, synth_clusters
 from jsbnn.divergence import DivergenceConfig
 from jsbnn.errors import AllTrialsDivergedError, NumericError
 from jsbnn.gaussian import DiagonalGaussian, VariationalParams
@@ -112,6 +113,25 @@ class TestGradients:
         numeric = finite_diff(f, net_to_vec(net), h=1e-5)
         rel = np.abs(analytic - numeric) / np.maximum(np.abs(numeric), 1e-8)
         assert rel.max() < 1e-6
+
+    @pytest.mark.parametrize("kind", LOSS_KINDS)
+    def test_graph_size_does_not_grow_with_samples(self, kind, monkeypatch):
+        # the Monte-Carlo samples are one tensor axis, not one subgraph each
+        created = []
+        original = ad.Tensor.__init__
+
+        def counting(self, *args, **kwargs):
+            created.append(1)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(ad.Tensor, "__init__", counting)
+        net, batch = fixture_net(), fixture_batch()
+        sizes = []
+        for s in (1, 8):
+            created.clear()
+            gradients(net, batch, kind, DivergenceConfig(alpha=0.5, mc_samples=s, seed=1))
+            sizes.append(len(created))
+        assert sizes[0] == sizes[1] < 150
 
     def test_divergence_only_kl_mean_gradient(self):
         # data-free objective: dKL/dmu = (mu_q - mu_p) / vp = 5 for the unit pair
@@ -231,6 +251,35 @@ class TestTrain:
         assert result.aborted
         assert result.abort_reason
         assert np.all(np.isfinite(net_to_vec(net)))
+
+    def test_overflowing_update_aborts_with_finite_parameters(self):
+        # at lr 1e308 the first update itself overflows: a numeric abort, not a crash
+        ds = separable_dataset()
+        net = BayesianNetwork.initialize((2, 4, 2), DiagonalGaussian([0.0], [math.sqrt(0.1)]), 3)
+        before = net_to_vec(net).copy()
+        result = train(net, ds, "kl", DivergenceConfig(seed=5), OptimizerState(1e308),
+                       epochs=2, batch_size=16)
+        assert result.aborted
+        assert "non-finite parameters" in result.abort_reason
+        np.testing.assert_array_equal(net_to_vec(net), before)
+
+    def test_momentum_two_steps_match_hand_computed_update(self):
+        # four identical training rows in batches of two: two steps whose
+        # batches do not depend on the shuffle, then v2 = 0.9 * g1 + g2
+        x = np.tile([[0.3, 0.7]], (4, 1))
+        ds = Dataset(x, np.array([1, 1, 1, 1]), np.array(["train"] * 4, dtype=object))
+        net = fixture_net(seed=40)
+        start = net.copy()
+        cfg = DivergenceConfig(alpha=0.5, lam=1.0, mc_samples=2, seed=6)
+        lr, beta = 0.05, 0.9
+        train(net, ds, "jsg_closed", cfg, OptimizerState(lr, momentum=beta), epochs=1, batch_size=2)
+
+        batch = (x[:2], np.array([1, 1]))
+        g1 = grads_to_vec(gradients(start, batch, "jsg_closed", cfg, 0.5, step=0)[0])
+        p1 = net_to_vec(start) - lr * g1
+        g2 = grads_to_vec(gradients(vec_to_net(start, p1), batch, "jsg_closed", cfg, 0.5, step=1)[0])
+        p2 = p1 - lr * (beta * g1 + g2)
+        np.testing.assert_array_equal(net_to_vec(net), p2)
 
     def test_best_params_snapshot_restores(self):
         ds = separable_dataset()
