@@ -11,6 +11,7 @@ single-writer.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -224,15 +225,9 @@ def _as_batch(net: BayesianNetwork, x):
     return h, single
 
 
-def _sample_params(net: BayesianNetwork, eps: np.ndarray) -> np.ndarray:
-    """Reparameterized samples mu + softplus(rho) * eps for (S, P) noise."""
-    mu, rho = net.flat_params()
-    return mu + softplus_sigma(rho) * eps
-
-
-def _logits(net: BayesianNetwork, h: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _logits(h: np.ndarray, w: np.ndarray, layers, layout) -> np.ndarray:
     """(S, n, k) logits of the (n, d) inputs h under the (S, P) parameter samples w."""
-    for layer, ((ws, w_shape), (bs, _)) in zip(net.layers, net.layout()):
+    for layer, ((ws, w_shape), (bs, _)) in zip(layers, layout):
         h = h @ w[:, ws].reshape(-1, *w_shape)
         h += w[:, None, bs]  # in place: one activation array per layer is alive
         if layer.activation == "relu":
@@ -247,20 +242,29 @@ def forward(net: BayesianNetwork, x, epsilons) -> np.ndarray:
     has the matching shape. Weights are w = mu + softplus(rho) * eps per layer.
     """
     h, single = _as_batch(net, x)
-    h = _logits(net, h, _sample_params(net, flatten_noise(net, epsilons)[None, :]))[0]
+    mu, rho = net.flat_params()
+    w = mu + softplus_sigma(rho) * flatten_noise(net, epsilons)[None, :]
+    h = _logits(h, w, net.layers, net.layout())[0]
     return h[0] if single else h
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax, stable under large logits."""
-    z = logits - np.max(logits, axis=-1, keepdims=True)
+    """Row-wise softmax, stable under large logits.
+
+    Reductions along a short last axis cost numpy a loop per row, so the max
+    is taken column by column, and so is the sum of two columns; both equal
+    `np.max` and `np.sum` bit for bit, as neither depends on the order.
+    """
+    z = logits - functools.reduce(np.maximum, np.moveaxis(logits, -1, 0))[..., None]
     e = np.exp(z)
-    return e / np.sum(e, axis=-1, keepdims=True)
+    total = e[..., 0] + e[..., 1] if e.shape[-1] == 2 else np.sum(e, axis=-1)
+    return e / total[..., None]
 
 
-# floats per activation array of one batched predictive pass (512 KB): small
-# enough to stay in cache, which measured as fast as one pass over all samples
-_PREDICTIVE_CHUNK_FLOATS = 1 << 16
+# Floats per activation array of one batched predictive pass (120 KiB). glibc
+# serves allocations of 128 KiB and more with fresh mmap'd pages, so larger
+# chunks page-fault on every pass; below it the arrays reuse heap memory.
+_PREDICTIVE_CHUNK_FLOATS = 15 << 10
 
 
 def predictive(net: BayesianNetwork, x, n_samples: int, seed) -> np.ndarray:
@@ -269,18 +273,21 @@ def predictive(net: BayesianNetwork, x, n_samples: int, seed) -> np.ndarray:
     Each row is a probability simplex point. Deterministic for a fixed seed:
     sample i uses row i of one (n_samples, P) standard-normal block, which is
     the draw order of n_samples successive `draw_noise` calls. Samples run in
-    batched passes sized so that no activation array exceeds 512 KB.
+    batched passes sized so that no activation array reaches 128 KiB.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     rng = np.random.default_rng(seed)
     h, single = _as_batch(net, x)
+    mu, rho = net.flat_params()
+    sigma = softplus_sigma(rho)
+    layout = net.layout()
     widest = max(l.fan_out for l in net.layers)
     chunk = max(1, _PREDICTIVE_CHUNK_FLOATS // max(1, h.shape[0] * widest))
     acc = np.zeros((h.shape[0], net.n_outputs))
     for start in range(0, n_samples, chunk):
-        eps = rng.standard_normal((min(chunk, n_samples - start), net.n_parameters))
-        for probs in softmax(_logits(net, h, _sample_params(net, eps))):
+        eps = rng.standard_normal((min(chunk, n_samples - start), mu.size))
+        for probs in softmax(_logits(h, mu + sigma * eps, net.layers, layout)):
             acc += probs  # sample by sample, the summation order of a plain loop
     acc /= n_samples
     return acc[0] if single else acc

@@ -1,41 +1,64 @@
 """Independent oracles used to verify the library's own estimators.
 
-These deliberately avoid the package's gaussian/divergence code paths: densities
-come from scipy.stats and integration is a self-contained adaptive Simpson rule,
-so an error in the implementation under test cannot cancel out here.
+These deliberately avoid the package's gaussian/divergence code paths: the
+oracle writes its own copy of the normal log density (in scipy.stats'
+`norm.logpdf` order of operations, so its values equal scipy's bit for bit)
+and integrates with a self-contained adaptive Simpson rule, so an error in the
+implementation under test cannot cancel out here. The tests cross-check
+`quadrature_jsa` against `scipy.integrate.quad` over `scipy.stats.norm`.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import norm
 
 from .errors import NumericError
 
 __all__ = ["quadrature_jsa", "finite_diff", "GoldenCase", "load_golden"]
 
 
+# log(sqrt(2 pi)), computed as scipy.stats computes its normal-density constant
+_LOG_SQRT_2PI = np.log(np.sqrt(2 * np.pi))
+
+
+def _norm_logpdf(x, mu: float, sigma: float, log_sigma: float) -> np.ndarray:
+    """log N(x; mu, sigma^2), in the order of operations of `scipy.stats.norm.logpdf`."""
+    y = (x - mu) / sigma
+    return (-y**2 / 2.0 - _LOG_SQRT_2PI) - log_sigma
+
+
 def _adaptive_simpson(f, knots: np.ndarray, tol: float, max_rounds: int = 60) -> float:
     """Adaptive Simpson over the panels defined by `knots`, absolute tolerance `tol`.
 
     Works on a vectorized stack of intervals: every refinement round halves all
-    panels whose local Richardson error estimate is still too large.
+    panels whose local Richardson error estimate is still too large. The
+    midpoints of a split panel's halves are the quarter points the round has
+    already evaluated, so each round evaluates `f` at two new points per panel.
+    Raises NumericError as soon as an integrand value is not finite.
     """
-    a = np.asarray(knots[:-1], dtype=np.float64)
-    b = np.asarray(knots[1:], dtype=np.float64)
+
+    def checked(x):
+        fx = f(x)
+        if not np.all(np.isfinite(fx)):
+            raise NumericError("adaptive Simpson quadrature met a non-finite integrand value")
+        return fx
+
+    knots = np.asarray(knots, dtype=np.float64)
+    a, b = knots[:-1], knots[1:]
+    m = 0.5 * (a + b)
     span = float(knots[-1] - knots[0])
-    fa, fb = f(a), f(b)
+    fk = checked(knots)
+    fa, fm, fb = fk[:-1], checked(m), fk[1:]
     total = 0.0
     for _ in range(max_rounds):
-        m = 0.5 * (a + b)
-        fm = f(m)
         lm = 0.5 * (a + m)
         rm = 0.5 * (m + b)
-        flm, frm = f(lm), f(rm)
+        flm, frm = checked(lm), checked(rm)
         h = b - a
         s_whole = h / 6.0 * (fa + 4.0 * fm + fb)
         s_halves = h / 12.0 * (fa + 4.0 * flm + 2.0 * fm + 4.0 * frm + fb)
@@ -45,11 +68,11 @@ def _adaptive_simpson(f, knots: np.ndarray, tol: float, max_rounds: int = 60) ->
         if np.all(ok):
             return total
         bad = ~ok
-        # split the bad panels in two and keep going
-        a = np.concatenate([a[bad], m[bad]])
-        b = np.concatenate([m[bad], b[bad]])
-        fa = np.concatenate([fa[bad], fm[bad]])
-        fb = np.concatenate([fm[bad], fb[bad]])
+        # split the bad panels in two; their midpoints are this round's quarter points
+        a, m, b = (np.concatenate([a[bad], m[bad]]), np.concatenate([lm[bad], rm[bad]]),
+                   np.concatenate([m[bad], b[bad]]))
+        fa, fm, fb = (np.concatenate([fa[bad], fm[bad]]), np.concatenate([flm[bad], frm[bad]]),
+                      np.concatenate([fm[bad], fb[bad]]))
     raise NumericError("adaptive Simpson quadrature did not converge")
 
 
@@ -71,9 +94,17 @@ def quadrature_jsa(q_mu: float, q_sigma: float, p_mu: float, p_sigma: float,
         Skew parameter in [0, 1].
     tol : float
         Absolute tolerance per integral.
+
+    Raises ValueError for an alpha outside [0, 1], a non-finite mean, or a
+    standard deviation that is not finite and positive.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
+    for name, mu, sigma in (("q", q_mu, q_sigma), ("p", p_mu, p_sigma)):
+        if not math.isfinite(mu):
+            raise ValueError(f"{name}_mu must be finite, got {mu!r}")
+        if not (math.isfinite(sigma) and sigma > 0.0):
+            raise ValueError(f"{name}_sigma must be finite and positive, got {sigma!r}")
     lo = min(q_mu - 10.0 * q_sigma, p_mu - 10.0 * p_sigma)
     hi = max(q_mu + 10.0 * q_sigma, p_mu + 10.0 * p_sigma)
     # seed panels around both modes so a narrow component cannot be stepped over
@@ -83,28 +114,32 @@ def quadrature_jsa(q_mu: float, q_sigma: float, p_mu: float, p_sigma: float,
             marks.append(mu + k * sigma)
     knots = np.unique(np.clip(np.asarray(marks, dtype=np.float64), lo, hi))
 
-    def log_mix(x):
-        lq = norm.logpdf(x, q_mu, q_sigma)
-        lp = norm.logpdf(x, p_mu, p_sigma)
-        if alpha == 0.0:
-            return lp
-        if alpha == 1.0:
-            return lq
-        return np.logaddexp(np.log(alpha) + lq, np.log(1.0 - alpha) + lp)
+    log_q_sigma, log_p_sigma = np.log(q_sigma), np.log(p_sigma)
+    if 0.0 < alpha < 1.0:
+        log_alpha, log_beta = np.log(alpha), np.log(1.0 - alpha)
 
-    def integrand_q(x):
-        lq = norm.logpdf(x, q_mu, q_sigma)
-        return np.exp(lq) * (lq - log_mix(x))
+    def kl_integrand(of_q: bool):
+        """x -> f(x) * (log f(x) - log m(x)), for f = q or f = P."""
 
-    def integrand_p(x):
-        lp = norm.logpdf(x, p_mu, p_sigma)
-        return np.exp(lp) * (lp - log_mix(x))
+        def integrand(x):
+            lq = _norm_logpdf(x, q_mu, q_sigma, log_q_sigma)
+            lp = _norm_logpdf(x, p_mu, p_sigma, log_p_sigma)
+            if alpha == 0.0:
+                log_mix = lp
+            elif alpha == 1.0:
+                log_mix = lq
+            else:
+                log_mix = np.logaddexp(log_alpha + lq, log_beta + lp)
+            own = lq if of_q else lp
+            return np.exp(own) * (own - log_mix)
+
+        return integrand
 
     total = 0.0
     if alpha < 1.0:
-        total += (1.0 - alpha) * _adaptive_simpson(integrand_q, knots, tol)
+        total += (1.0 - alpha) * _adaptive_simpson(kl_integrand(True), knots, tol)
     if alpha > 0.0:
-        total += alpha * _adaptive_simpson(integrand_p, knots, tol)
+        total += alpha * _adaptive_simpson(kl_integrand(False), knots, tol)
     return total
 
 

@@ -1,10 +1,15 @@
 """End-to-end CLI tests: commands, artifacts, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import jsbnn
 from jsbnn.cli import main, run_theorem_suites
 from jsbnn.config import config_hash, load_config, parse_config
 from jsbnn.errors import ConfigError
@@ -280,3 +285,12 @@ class TestSearchCommand:
                      "--lr-choices", "0.1,1e18"]) == 0
         best = json.loads((tmp_path / "out" / "best.json").read_text())
         assert best["lr"] == 0.1
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs over a second and tens of MB at import; the library
+    # needs only scipy.special (autodiff's expit), the tests the rest
+    env = dict(os.environ, PYTHONPATH=str(Path(jsbnn.__file__).resolve().parents[1]))
+    code = "import sys, jsbnn.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
