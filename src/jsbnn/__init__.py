@@ -8,7 +8,7 @@ finite-difference checks, randomized theorem suites) used to validate them.
 """
 
 from .errors import AllTrialsDivergedError, ConfigError, NumericError
-from .gaussian import DiagonalGaussian, VariationalParams, log_density, sample_weights, softplus_sigma
+from .gaussian import DiagonalGaussian, VariationalParams, softplus_sigma
 from .divergence import (
     DivergenceConfig,
     GeometricMeanParams,
@@ -28,7 +28,7 @@ from .oracles import GoldenCase, finite_diff, load_golden, quadrature_jsa
 from .network import BayesianNetwork, VariationalDenseLayer, forward, predictive
 from .loss import LossBreakdown, jsa_loss_mc, jsg_loss_closed, jsg_loss_mc, kl_loss, nll_mc
 from .train import OptimizerState, SearchSpace, apply_schedule, gradients, random_search, train
-from .data import Dataset, NoiseSpec, add_noise, complement_normalize, load_csv, minmax_normalize, split, synth_clusters
+from .data import Dataset, NoiseSpec, add_noise, load_csv, minmax_normalize, split, synth_clusters
 from .metrics import ConfusionMatrix, RocCurve, accuracy, confusion, fn_reduction, roc_auc
 
 __version__ = "0.1.0"

@@ -118,6 +118,8 @@ def cmd_eval(args) -> int:
             f"checkpoint expects {net.n_inputs} features, dataset has {x_test.shape[1]}"
         )
     probs = predictive(net, x_test, args.n_samples, [cfg.seed, 6])
+    if not np.all(np.isfinite(probs)):
+        raise NumericError("non-finite predictive probabilities")
     cm = confusion(probs, y_test, net.n_outputs)
     report = {
         "provenance": {"tool": "jsbnn", "version": __version__,

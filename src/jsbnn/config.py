@@ -49,6 +49,11 @@ def _need(section: dict, key: str, where: str):
     return section[key]
 
 
+def _check_nonnegative(value, where: str):
+    if not (math.isfinite(value) and value >= 0):
+        raise ConfigError(f"{where}: must be finite and >= 0")
+
+
 def _check_known(section: dict, allowed, where: str):
     unknown = set(section) - set(allowed)
     if unknown:
@@ -196,8 +201,7 @@ def parse_config(doc: dict, overrides: dict = None, check_paths: bool = True) ->
             raise ConfigError(f"dataset.path: {ds['path']} does not exist")
     else:
         raise ConfigError(f"dataset.kind: unknown kind {kind!r}")
-    if ds["noise_sigma"] < 0:
-        raise ConfigError("dataset.noise_sigma: must be >= 0")
+    _check_nonnegative(ds["noise_sigma"], "dataset.noise_sigma")
     fr = ds["split_fractions"]
     if not isinstance(fr, list) or len(fr) != 3 or abs(sum(fr) - 1.0) > 1e-9:
         raise ConfigError("dataset.split_fractions: must be three fractions summing to 1")
@@ -215,8 +219,7 @@ def parse_config(doc: dict, overrides: dict = None, check_paths: bool = True) ->
         raise ConfigError(f"loss.kind: must be one of {LOSS_KINDS}")
     if not 0.0 <= loss["alpha"] <= 1.0:
         raise ConfigError("loss.alpha: must lie in [0, 1]")
-    if loss["lambda"] < 0:
-        raise ConfigError("loss.lambda: must be >= 0")
+    _check_nonnegative(loss["lambda"], "loss.lambda")
     if loss["mc_samples"] < 1:
         raise ConfigError("loss.mc_samples: must be >= 1")
 
@@ -228,8 +231,7 @@ def parse_config(doc: dict, overrides: dict = None, check_paths: bool = True) ->
     opt.setdefault("batch_size", 32)
     if "lr" in overrides and overrides["lr"] is not None:
         opt["learning_rate"] = overrides["lr"]
-    if _need(opt, "learning_rate", "optimizer") < 0:
-        raise ConfigError("optimizer.learning_rate: must be >= 0")
+    _check_nonnegative(_need(opt, "learning_rate", "optimizer"), "optimizer.learning_rate")
     if opt["batch_size"] < 1:
         raise ConfigError("optimizer.batch_size: must be >= 1")
     for entry in opt["schedule"]:

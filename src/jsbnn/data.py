@@ -19,8 +19,6 @@ __all__ = [
     "NoiseSpec",
     "CsvSchema",
     "minmax_normalize",
-    "complement_normalize",
-    "complement_denormalize",
     "add_noise",
     "synth_clusters",
     "split",
@@ -102,20 +100,6 @@ def minmax_normalize(features) -> np.ndarray:
     nz = span > 0
     out[:, nz] = (x[:, nz] - lo[nz]) / span[nz]
     return out
-
-
-def complement_normalize(pixels) -> np.ndarray:
-    """Map integer pixels p in [0, 255] to (255 - p) / 255."""
-    p = np.asarray(pixels)
-    if p.size and (p.min() < 0 or p.max() > 255):
-        raise ValueError("pixel values must lie in [0, 255]")
-    return (255.0 - p) / 255.0
-
-
-def complement_denormalize(values) -> np.ndarray:
-    """Inverse of complement_normalize; exact on values produced from integer pixels."""
-    v = np.asarray(values, dtype=np.float64)
-    return np.rint(255.0 - 255.0 * v).astype(np.int64)
 
 
 def add_noise(ds: Dataset, spec: NoiseSpec) -> Dataset:

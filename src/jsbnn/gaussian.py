@@ -1,4 +1,4 @@
-"""Diagonal Gaussian parameterization, reparameterized sampling, and log densities.
+"""Diagonal Gaussians, the variational (mu, rho) parameterization and its softplus scale.
 
 Everything here is a pure function over immutable inputs; RNG state is owned by
 callers and passed in explicitly, so all operations are safe to call from any
@@ -15,11 +15,7 @@ __all__ = [
     "DiagonalGaussian",
     "VariationalParams",
     "softplus_sigma",
-    "sample_weights",
-    "log_density",
 ]
-
-_HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
 
 
 def _as_vector(x, name: str) -> np.ndarray:
@@ -70,14 +66,6 @@ class DiagonalGaussian:
     def var(self) -> np.ndarray:
         return self.sigma**2
 
-    def broadcast_to(self, n: int) -> "DiagonalGaussian":
-        """Tile a 1-dimensional Gaussian out to n dimensions (used for scalar priors)."""
-        if self.dim == n:
-            return self
-        if self.dim != 1:
-            raise ValueError(f"cannot broadcast {self.dim}-dim Gaussian to {n} dims")
-        return DiagonalGaussian(np.full(n, self.mu[0]), np.full(n, self.sigma[0]))
-
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Draw n i.i.d. vectors, returned as an (n, dim) array."""
         eps = rng.standard_normal((n, self.dim))
@@ -86,7 +74,10 @@ class DiagonalGaussian:
 
 @dataclass(frozen=True)
 class VariationalParams:
-    """Trainable (mu, rho) pair for one weight tensor; sigma is derived as softplus(rho)."""
+    """Trainable (mu, rho) pair for one weight tensor; sigma is derived as softplus(rho).
+
+    In a network, mu and rho are views into the network's flat parameter store.
+    """
 
     mu: np.ndarray
     rho: np.ndarray
@@ -134,29 +125,3 @@ def softplus_sigma(rho) -> np.ndarray:
     if not np.all(np.isfinite(rho)):
         raise ValueError("rho must be finite")
     return np.logaddexp(0.0, rho)
-
-
-def sample_weights(params: VariationalParams, epsilon) -> np.ndarray:
-    """Reparameterized weight sample mu + softplus(rho) * epsilon.
-
-    Deterministic given epsilon; the stochasticity lives entirely in the caller's
-    epsilon draw, which is what makes the sample differentiable in (mu, rho).
-    """
-    epsilon = np.asarray(epsilon, dtype=np.float64)
-    if epsilon.shape != params.mu.shape:
-        raise ValueError(
-            f"epsilon length {epsilon.size} does not match parameter length {params.mu.size}"
-        )
-    return params.mu + softplus_sigma(params.rho) * epsilon
-
-
-def log_density(x, g: DiagonalGaussian) -> float:
-    """Log density of a point under a diagonal Gaussian.
-
-    Returns sum_i [ -0.5*log(2*pi) - log(sigma_i) - (x_i - mu_i)^2 / (2*sigma_i^2) ].
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != g.mu.shape:
-        raise ValueError(f"x length {x.size} does not match Gaussian dimension {g.dim}")
-    z = (x - g.mu) / g.sigma
-    return float(np.sum(-_HALF_LOG_2PI - np.log(g.sigma) - 0.5 * z**2))

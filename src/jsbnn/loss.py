@@ -99,8 +99,7 @@ def _draw(net: BayesianNetwork, rng: np.random.Generator, n_samples: int,
     eps = rng.standard_normal((n_samples, net.n_parameters))
     prior = None
     if with_prior:
-        mp, sp = net.flat_prior()
-        prior = mp + sp * rng.standard_normal((n_samples, net.n_parameters))
+        prior = net.prior.mu + net.prior.sigma * rng.standard_normal((n_samples, net.n_parameters))
     return NoiseBundle(eps, prior)
 
 
@@ -217,8 +216,7 @@ def build_loss_graph(net: BayesianNetwork, batch, kind: str, cfg: DivergenceConf
     if not 0.0 < minibatch_scale <= 1.0:
         raise ValueError(f"minibatch_scale must lie in (0, 1], got {minibatch_scale}")
     x, y = _validate_batch(net, batch)
-    mu_flat, rho_flat = net.flat_params()
-    mu, rho = ad.Tensor(mu_flat), ad.Tensor(rho_flat)
+    mu, rho = ad.Tensor(net.mu), ad.Tensor(net.rho)
     sigma = ad.softplus(rho)
     w = mu + sigma * bundle.eps
 
@@ -226,8 +224,8 @@ def build_loss_graph(net: BayesianNetwork, batch, kind: str, cfg: DivergenceConf
     if x.shape[0]:
         nll = _cross_entropy(_logits_graph(net, w, x), y) * (1.0 / bundle.eps.shape[0])
 
-    mp, sp = net.flat_prior()
-    div = _divergence_graph(kind, cfg.alpha, mu, sigma * sigma, mp, sp**2, w, bundle.prior)
+    div = _divergence_graph(kind, cfg.alpha, mu, sigma * sigma, net.prior_mean, net.prior_var,
+                            w, bundle.prior)
     if kind != "kl":
         div = div * cfg.lam
     total = div * minibatch_scale + nll

@@ -1,19 +1,18 @@
 """Variational fully-connected networks: sampled forward pass and MC predictive.
 
-A network holds per-layer (mu, rho) pairs for weights and biases. Its flat
-layout orders all P parameters layer by layer, weights (row-major
-(fan_in, fan_out)) before biases; `flat_params` and `set_flat_params` move
-(mu, rho) between that layout and the layers. Every forward pass consumes
-explicit noise, so evaluation is deterministic given the noise and safe to run
-concurrently. Parameters are only mutated by the training loop, which is
-single-writer.
+A network owns the only copy of its parameters: two flat vectors `mu` and
+`rho` of all P parameters, ordered layer by layer, weights (row-major
+(fan_in, fan_out)) before biases. Each layer's `weights` and `biases` are
+views into them. Every forward pass consumes explicit noise, so evaluation is
+deterministic given the noise and safe to run concurrently. Parameters are
+only mutated by the training loop, which is single-writer.
 """
 
 from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -23,12 +22,8 @@ from .gaussian import DiagonalGaussian, VariationalParams, softplus_sigma
 __all__ = [
     "VariationalDenseLayer",
     "BayesianNetwork",
-    "LayerNoise",
     "forward",
     "predictive",
-    "zero_noise",
-    "draw_noise",
-    "flatten_noise",
     "save_checkpoint",
     "load_checkpoint",
 ]
@@ -36,19 +31,13 @@ __all__ = [
 _ACTIVATIONS = ("relu", "identity", "softmax")
 
 
-# per-layer standard-normal draws for the reparameterized weight/bias samples
 @dataclass(frozen=True)
-class LayerNoise:
-    weights: np.ndarray
-    biases: np.ndarray
-
-
-@dataclass
 class VariationalDenseLayer:
     """One dense layer with factorized-Gaussian weights and biases.
 
     Weight parameters are stored flattened with fan_in * fan_out entries in
-    row-major (fan_in, fan_out) order; biases have fan_out entries.
+    row-major (fan_in, fan_out) order; biases have fan_out entries. In a
+    network both are views into the network's flat store.
     """
 
     fan_in: int
@@ -75,8 +64,10 @@ class VariationalDenseLayer:
 class BayesianNetwork:
     """Ordered variational dense layers plus a shared prior over every parameter.
 
-    The prior is a DiagonalGaussian that is broadcastable to each parameter
-    tensor (typically a single-dimension Gaussian reused everywhere).
+    The network copies the layers' parameters into its flat store `mu`, `rho`
+    and rebinds each layer to views of it. The prior has 1 dimension (shared by
+    every parameter) or P (one per parameter, in layout order); `prior_mean`
+    and `prior_var` hold it as flat vectors.
     """
 
     layers: list = field(default_factory=list)
@@ -92,6 +83,25 @@ class BayesianNetwork:
                 )
         if self.prior is None:
             raise ValueError("network needs a prior")
+        tensors = [t for l in self.layers for t in (l.weights, l.biases)]
+        self.mu = np.concatenate([t.mu for t in tensors])
+        self.rho = np.concatenate([t.rho for t in tensors])
+        n = self.mu.size
+        if self.prior.dim not in (1, n):
+            raise ValueError(f"prior has {self.prior.dim} dimensions, expected 1 or {n}")
+        self.prior_mean = np.broadcast_to(self.prior.mu, n).copy()
+        self.prior_var = np.broadcast_to(self.prior.sigma, n) ** 2
+        self._layout, pos = [], 0
+        for l in self.layers:
+            w = slice(pos, pos + l.weights.dim)
+            b = slice(w.stop, w.stop + l.biases.dim)
+            pos = b.stop
+            self._layout.append(((w, (l.fan_in, l.fan_out)), (b, (l.fan_out,))))
+        self.layers = [
+            replace(l, weights=VariationalParams(self.mu[w], self.rho[w]),
+                    biases=VariationalParams(self.mu[b], self.rho[b]))
+            for l, ((w, _), (b, _)) in zip(self.layers, self._layout)
+        ]
 
     @property
     def n_inputs(self) -> int:
@@ -103,59 +113,30 @@ class BayesianNetwork:
 
     @property
     def n_parameters(self) -> int:
-        return sum(l.weights.dim + l.biases.dim for l in self.layers)
-
-    def prior_for(self, n: int) -> DiagonalGaussian:
-        return self.prior.broadcast_to(n)
+        return self.mu.size
 
     def layout(self) -> list:
         """Per layer, the ((slice, shape) of the weights, (slice, shape) of the biases)
         in the flat parameter vector."""
-        out, pos = [], 0
-        for l in self.layers:
-            w = slice(pos, pos + l.weights.dim)
-            b = slice(w.stop, w.stop + l.biases.dim)
-            pos = b.stop
-            out.append(((w, (l.fan_in, l.fan_out)), (b, (l.fan_out,))))
-        return out
-
-    def _tensors(self):
-        for l in self.layers:
-            yield l.weights
-            yield l.biases
+        return self._layout
 
     def flat_params(self):
-        """Fresh (mu, rho) vectors of all P parameters in layout order."""
-        tensors = list(self._tensors())
-        return np.concatenate([t.mu for t in tensors]), np.concatenate([t.rho for t in tensors])
+        """Copies of the flat (mu, rho) vectors of all P parameters."""
+        return self.mu.copy(), self.rho.copy()
 
     def set_flat_params(self, mu: np.ndarray, rho: np.ndarray):
-        """Store flat (mu, rho) vectors into the layers, as views of the given arrays."""
-        for layer, ((w, _), (b, _)) in zip(self.layers, self.layout()):
-            layer.weights = VariationalParams(mu[w], rho[w])
-            layer.biases = VariationalParams(mu[b], rho[b])
-
-    def flat_prior(self):
-        """Prior (mu, sigma) of every parameter, as flat vectors in layout order.
-
-        Each tensor gets the prior broadcast to its length, as in `prior_for`.
-        """
-        dims = [(t.dim,) for t in self._tensors()]
-        return tuple(np.concatenate([np.broadcast_to(v, d) for d in dims])
-                     for v in (self.prior.mu, self.prior.sigma))
+        """Copy flat (mu, rho) vectors into the store; ValueError unless both are
+        finite and of length P."""
+        mu, rho = np.asarray(mu, dtype=np.float64), np.asarray(rho, dtype=np.float64)
+        if mu.shape != self.mu.shape or rho.shape != self.rho.shape:
+            raise ValueError(f"need two vectors of length {self.mu.size}")
+        if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(rho))):
+            raise ValueError("mu and rho must be finite")
+        self.mu[:] = mu
+        self.rho[:] = rho
 
     def copy(self) -> "BayesianNetwork":
-        layers = [
-            VariationalDenseLayer(
-                fan_in=l.fan_in,
-                fan_out=l.fan_out,
-                weights=VariationalParams(l.weights.mu.copy(), l.weights.rho.copy()),
-                biases=VariationalParams(l.biases.mu.copy(), l.biases.rho.copy()),
-                activation=l.activation,
-            )
-            for l in self.layers
-        ]
-        return BayesianNetwork(layers=layers, prior=self.prior)
+        return BayesianNetwork(layers=self.layers, prior=self.prior)
 
     @classmethod
     def initialize(cls, sizes, prior: DiagonalGaussian, seed: int,
@@ -191,31 +172,6 @@ class BayesianNetwork:
         return cls(layers=layers, prior=prior)
 
 
-def zero_noise(net: BayesianNetwork) -> list:
-    """All-zero noise: the forward pass then uses the posterior means exactly."""
-    return [
-        LayerNoise(np.zeros(l.weights.dim), np.zeros(l.biases.dim)) for l in net.layers
-    ]
-
-
-def draw_noise(net: BayesianNetwork, rng: np.random.Generator) -> list:
-    """One standard-normal noise vector per parameter tensor."""
-    return [
-        LayerNoise(rng.standard_normal(l.weights.dim), rng.standard_normal(l.biases.dim))
-        for l in net.layers
-    ]
-
-
-def flatten_noise(net: BayesianNetwork, epsilons) -> np.ndarray:
-    """Per-layer noise as one vector in the network's flat layout."""
-    if len(epsilons) != len(net.layers):
-        raise ValueError("need one noise entry per layer")
-    for layer, eps in zip(net.layers, epsilons):
-        if eps.weights.shape != (layer.weights.dim,) or eps.biases.shape != (layer.biases.dim,):
-            raise ValueError("noise shapes do not match layer parameters")
-    return np.concatenate([a for eps in epsilons for a in (eps.weights, eps.biases)])
-
-
 def _as_batch(net: BayesianNetwork, x):
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
@@ -235,15 +191,18 @@ def _logits(h: np.ndarray, w: np.ndarray, layers, layout) -> np.ndarray:
     return h
 
 
-def forward(net: BayesianNetwork, x, epsilons) -> np.ndarray:
-    """Deterministic logits for input x under the weights sampled with `epsilons`.
+def forward(net: BayesianNetwork, x, eps) -> np.ndarray:
+    """Deterministic logits for input x under the weights sampled with noise `eps`.
 
     x may be a single feature vector or a (batch, features) matrix; the result
-    has the matching shape. Weights are w = mu + softplus(rho) * eps per layer.
+    has the matching shape. eps is one (P,) vector in the flat layout, and the
+    parameters are w = mu + softplus(rho) * eps.
     """
     h, single = _as_batch(net, x)
-    mu, rho = net.flat_params()
-    w = mu + softplus_sigma(rho) * flatten_noise(net, epsilons)[None, :]
+    eps = np.asarray(eps, dtype=np.float64)
+    if eps.shape != net.mu.shape:
+        raise ValueError(f"noise has shape {eps.shape}, expected ({net.n_parameters},)")
+    w = net.mu + softplus_sigma(net.rho) * eps[None, :]
     h = _logits(h, w, net.layers, net.layout())[0]
     return h[0] if single else h
 
@@ -272,15 +231,14 @@ def predictive(net: BayesianNetwork, x, n_samples: int, seed) -> np.ndarray:
 
     Each row is a probability simplex point. Deterministic for a fixed seed:
     sample i uses row i of one (n_samples, P) standard-normal block, which is
-    the draw order of n_samples successive `draw_noise` calls. Samples run in
+    the draw order of n_samples successive (P,) draws. Samples run in
     batched passes sized so that no activation array reaches 128 KiB.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     rng = np.random.default_rng(seed)
     h, single = _as_batch(net, x)
-    mu, rho = net.flat_params()
-    sigma = softplus_sigma(rho)
+    mu, sigma = net.mu, softplus_sigma(net.rho)
     layout = net.layout()
     widest = max(l.fan_out for l in net.layers)
     chunk = max(1, _PREDICTIVE_CHUNK_FLOATS // max(1, h.shape[0] * widest))
@@ -320,14 +278,17 @@ def load_checkpoint(path) -> BayesianNetwork:
         raise ValueError(f"{path}: not a jsbnn checkpoint")
     try:
         return _network_from_checkpoint(raw)
-    except (KeyError, IndexError, TypeError) as err:
+    except (KeyError, IndexError, TypeError, ValueError) as err:
         raise ValueError(f"{path}: malformed checkpoint, {type(err).__name__}: {err}") from None
 
 
 def _network_from_checkpoint(raw: dict) -> BayesianNetwork:
-    sizes = raw["sizes"]
+    sizes, specs, activations = raw["sizes"], raw["layers"], raw["activations"]
+    if len(sizes) != len(specs) + 1 or len(activations) != len(specs):
+        raise ValueError(f"{len(sizes)} sizes and {len(activations)} activations "
+                         f"for {len(specs)} layers")
     layers = []
-    for i, spec in enumerate(raw["layers"]):
+    for i, spec in enumerate(specs):
         layers.append(
             VariationalDenseLayer(
                 fan_in=sizes[i],
@@ -338,7 +299,7 @@ def _network_from_checkpoint(raw: dict) -> BayesianNetwork:
                 biases=VariationalParams(
                     np.asarray(spec["biases"]["mu"]), np.asarray(spec["biases"]["rho"])
                 ),
-                activation=raw["activations"][i],
+                activation=activations[i],
             )
         )
     prior = DiagonalGaussian(np.asarray(raw["prior"]["mu"]), np.asarray(raw["prior"]["sigma"]))

@@ -130,11 +130,13 @@ def gradients(net: BayesianNetwork, batch, loss_kind: str, cfg: DivergenceConfig
     total, div, nll, (mu, rho) = build_loss_graph(net, batch, loss_kind, cfg, minibatch_scale, bundle)
     total.backward()
     grads = ParamGradients(mu.grad, rho.grad, net.layout())
-    for i, parts in enumerate(grads.layout):
-        for (cols, _), tensor in zip(parts, ("weights", "biases")):
-            for name, g in (("mu", grads.mu), ("rho", grads.rho)):
-                if not np.all(np.isfinite(g[cols])):
-                    raise NumericError(f"non-finite gradient in layer {i} {tensor} {name}")
+    if not (np.all(np.isfinite(grads.mu)) and np.all(np.isfinite(grads.rho))):
+        # name the first offending tensor, in layout order
+        for i, parts in enumerate(grads.layout):
+            for (cols, _), tensor in zip(parts, ("weights", "biases")):
+                for name, g in (("mu", grads.mu), ("rho", grads.rho)):
+                    if not np.all(np.isfinite(g[cols])):
+                        raise NumericError(f"non-finite gradient in layer {i} {tensor} {name}")
     breakdown = LossBreakdown(
         divergence_term=div.item(), nll_term=nll.item(), total=total.item(),
         minibatch_scale=minibatch_scale,
@@ -184,8 +186,7 @@ def _apply_update(net: BayesianNetwork, grads: ParamGradients, lr: float,
         velocity *= momentum
         velocity += steps
         steps = velocity
-    mu, rho = net.flat_params()
-    mu, rho = mu - lr * steps[0], rho - lr * steps[1]
+    mu, rho = net.mu - lr * steps[0], net.rho - lr * steps[1]
     if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(rho))):
         raise NumericError("non-finite parameters after the update")
     net.set_flat_params(mu, rho)
@@ -277,8 +278,7 @@ def train(net: BayesianNetwork, dataset, loss_kind: str, cfg: DivergenceConfig,
 
 def restore_params(net: BayesianNetwork, params: tuple):
     """Load a flat (mu, rho) snapshot (e.g. TrainResult.best_params) into the network."""
-    mu, rho = params
-    net.set_flat_params(mu.copy(), rho.copy())
+    net.set_flat_params(*params)
 
 
 def random_search(space: SearchSpace, experiment, seed: int):

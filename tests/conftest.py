@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from jsbnn.gaussian import DiagonalGaussian, VariationalParams
-from jsbnn.network import BayesianNetwork, LayerNoise, VariationalDenseLayer
+from jsbnn.network import BayesianNetwork, VariationalDenseLayer
 
 GOLDEN_DIR = Path(__file__).parent / "golden" / "v1"
 
@@ -31,11 +31,9 @@ def build_golden_net(spec: dict, prior=None) -> BayesianNetwork:
     return BayesianNetwork(layers=layers, prior=prior)
 
 
-def build_golden_noise(spec: dict):
-    return [
-        LayerNoise(np.array(spec["layer0"]["w"]), np.array(spec["layer0"]["b"])),
-        LayerNoise(np.array(spec["layer1"]["w"]), np.array(spec["layer1"]["b"])),
-    ]
+def build_golden_noise(spec: dict) -> np.ndarray:
+    """The per-layer golden noise as one vector in the network's flat layout."""
+    return np.concatenate([spec[name][part] for name in ("layer0", "layer1") for part in ("w", "b")])
 
 
 @pytest.fixture(scope="session")

@@ -46,12 +46,9 @@ def random_small_net(rng):
     prior = DiagonalGaussian([0.0], [math.sqrt(0.1)])
     net = BayesianNetwork.initialize((2, 3, 2), prior, int(rng.integers(2**32)))
     for layer in net.layers:
-        layer.weights = VariationalParams(
-            rng.normal(0, 0.5, layer.weights.dim), rng.uniform(-4, 0, layer.weights.dim)
-        )
-        layer.biases = VariationalParams(
-            rng.normal(0, 0.5, layer.biases.dim), rng.uniform(-4, 0, layer.biases.dim)
-        )
+        for params in (layer.weights, layer.biases):
+            params.mu[:] = rng.normal(0, 0.5, params.dim)
+            params.rho[:] = rng.uniform(-4, 0, params.dim)
     return net
 
 
@@ -161,12 +158,9 @@ def test_criterion_7_gradient_verification():
     prior = DiagonalGaussian([0.0], [math.sqrt(0.1)])
     net = BayesianNetwork.initialize((2, 3, 2), prior, 77)
     for layer in net.layers:
-        layer.weights = VariationalParams(
-            rng.normal(0, 0.5, layer.weights.dim), rng.uniform(-3, -1, layer.weights.dim)
-        )
-        layer.biases = VariationalParams(
-            rng.normal(0, 0.5, layer.biases.dim), rng.uniform(-3, -1, layer.biases.dim)
-        )
+        for params in (layer.weights, layer.biases):
+            params.mu[:] = rng.normal(0, 0.5, params.dim)
+            params.rho[:] = rng.uniform(-3, -1, params.dim)
     batch = (rng.normal(size=(8, 2)), rng.integers(0, 2, 8))
     cfg = DivergenceConfig(alpha=0.35, lam=1.5, mc_samples=3, seed=2024)
 

@@ -138,6 +138,15 @@ class TestTrainCommand:
     def test_missing_config_file(self, tmp_path):
         assert main(["train", "--config", str(tmp_path / "nope.json"), "--seed", "3"]) == 2
 
+    @pytest.mark.parametrize("section,key", [
+        ("optimizer", "learning_rate"), ("loss", "lambda"), ("dataset", "noise_sigma"),
+    ])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_setting_is_config_error(self, tmp_path, capsys, section, key, value):
+        path = write_config(tmp_path, epochs=1, **{section: {key: value}})
+        assert main(["train", "--config", str(path), "--seed", "3"]) == 2
+        assert f"config error: {section}.{key}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("body", [
         "x0,x1,label\n0.1,0.2,0\n",  # header does not match the schema
         "f0,f1,label\n0.1,abc,0\n",  # non-numeric feature cell
@@ -183,6 +192,36 @@ class TestEvalCommand:
         assert main(["eval", "--checkpoint", str(ck), "--config", str(path),
                      "--seed", "3"]) == 2
         assert "config error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc["sizes"].append(2),  # one size more than the layers need
+        lambda doc: doc["activations"].append("relu"),
+        lambda doc: doc["prior"].update(mu=[0.0, 0.0], sigma=[1.0, 1.0]),  # neither 1 nor P
+    ], ids=["extra-size", "extra-activation", "two-dim-prior"])
+    def test_inconsistent_checkpoint_is_config_error(self, tmp_path, capsys, edit):
+        path = write_config(tmp_path, epochs=1)
+        main(["train", "--config", str(path), "--seed", "3"])
+        ck = tmp_path / "out" / "checkpoint.json"
+        doc = json.loads(ck.read_text())
+        edit(doc)
+        ck.write_text(json.dumps(doc))
+        assert main(["eval", "--checkpoint", str(ck), "--config", str(path),
+                     "--seed", "3"]) == 2
+        assert "config error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["mu", "rho"])
+    def test_non_finite_probabilities_are_numeric_abort(self, tmp_path, capsys, key):
+        path = write_config(tmp_path, epochs=1)
+        main(["train", "--config", str(path), "--seed", "3"])
+        ck = tmp_path / "out" / "checkpoint.json"
+        doc = json.loads(ck.read_text())
+        doc["layers"][0]["weights"][key][0] = 1e308
+        ck.write_text(json.dumps(doc))
+        with np.errstate(all="ignore"):
+            code = main(["eval", "--checkpoint", str(ck), "--config", str(path), "--seed", "3"])
+        assert code == 3
+        assert "numeric abort:" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "metrics.json").exists()
 
     def test_shape_mismatch(self, tmp_path):
         path = write_config(tmp_path)

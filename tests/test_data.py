@@ -8,8 +8,6 @@ from jsbnn.data import (
     Dataset,
     NoiseSpec,
     add_noise,
-    complement_denormalize,
-    complement_normalize,
     load_csv,
     manifest,
     minmax_normalize,
@@ -34,27 +32,6 @@ class TestMinmaxNormalize:
     def test_constant_column_maps_to_zero(self):
         out = minmax_normalize(np.array([[3.0, 1.0], [3.0, 2.0]]))
         np.testing.assert_array_equal(out[:, 0], [0.0, 0.0])
-
-
-class TestComplementNormalize:
-    def test_endpoints(self):
-        assert complement_normalize(np.array([255]))[0] == 0.0
-        assert complement_normalize(np.array([0]))[0] == 1.0
-
-    def test_formula_value(self):
-        assert complement_normalize(np.array([51]))[0] == pytest.approx(0.8, rel=1e-12)
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            complement_normalize(np.array([256]))
-        with pytest.raises(ValueError):
-            complement_normalize(np.array([-1]))
-
-    def test_roundtrip_on_integer_pixels(self):
-        pixels = np.arange(256)
-        np.testing.assert_array_equal(
-            complement_denormalize(complement_normalize(pixels)), pixels
-        )
 
 
 class TestAddNoise:

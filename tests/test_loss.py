@@ -21,7 +21,7 @@ from jsbnn.loss import (
     nll_mc,
 )
 from jsbnn.config import load_config
-from jsbnn.network import BayesianNetwork, VariationalDenseLayer, draw_noise, flatten_noise, forward
+from jsbnn.network import BayesianNetwork, VariationalDenseLayer, forward
 from jsbnn.train import gradients
 from test_train import grads_to_vec
 
@@ -52,12 +52,9 @@ def random_net(rng, sizes=(2, 3, 2)):
     prior = DiagonalGaussian([0.0], [math.sqrt(0.1)])
     net = BayesianNetwork.initialize(sizes, prior, int(rng.integers(2**32)))
     for layer in net.layers:
-        layer.weights = VariationalParams(
-            rng.normal(0, 0.4, layer.weights.dim), rng.uniform(-4, -1, layer.weights.dim)
-        )
-        layer.biases = VariationalParams(
-            rng.normal(0, 0.4, layer.biases.dim), rng.uniform(-4, -1, layer.biases.dim)
-        )
+        for params in (layer.weights, layer.biases):
+            params.mu[:] = rng.normal(0, 0.4, params.dim)
+            params.rho[:] = rng.uniform(-4, -1, params.dim)
     return net
 
 
@@ -72,21 +69,25 @@ class TestNllMc:
         # collapsed net emitting all-zero logits: nll = 4 * log 2
         net = one_weight_net(w_mu=0.0, w_sigma=1e-9)
         layer = net.layers[0]
-        layer.weights = VariationalParams([0.0], [-40.0])
-        layer.biases = VariationalParams([0.0], [-40.0])
+        for params in (layer.weights, layer.biases):
+            params.mu[:] = 0.0
+            params.rho[:] = -40.0
         # a 1-input, 1-output net has a single class; use a 2-class zero net instead
         net2 = BayesianNetwork.initialize((2, 2), DiagonalGaussian([0.0], [1.0]), 0)
         for l in net2.layers:
-            l.weights = VariationalParams(np.zeros(l.weights.dim), np.full(l.weights.dim, -40.0))
-            l.biases = VariationalParams(np.zeros(l.biases.dim), np.full(l.biases.dim, -40.0))
+            for params in (l.weights, l.biases):
+                params.mu[:] = 0.0
+                params.rho[:] = -40.0
         batch = (np.zeros((4, 2)), np.array([0, 1, 0, 1]))
         assert nll_mc(net2, batch, 3, 11) == pytest.approx(4 * math.log(2.0), abs=1e-9)
 
     def test_confident_net_near_zero(self):
         net = BayesianNetwork.initialize((2, 2), DiagonalGaussian([0.0], [1.0]), 0)
         for l in net.layers:
-            l.weights = VariationalParams(np.array([50.0, -50.0, -50.0, 50.0]), np.full(4, -40.0))
-            l.biases = VariationalParams(np.zeros(2), np.full(2, -40.0))
+            l.weights.mu[:] = [50.0, -50.0, -50.0, 50.0]
+            l.weights.rho[:] = -40.0
+            l.biases.mu[:] = 0.0
+            l.biases.rho[:] = -40.0
         batch = (np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([0, 1]))
         assert nll_mc(net, batch, 2, 5) == pytest.approx(0.0, abs=1e-12)
 
@@ -97,7 +98,7 @@ class TestNllMc:
             np.array(golden_nll_case["inputs"]["x"]),
             np.array(golden_nll_case["inputs"]["y"]),
         )
-        bundle = NoiseBundle(flatten_noise(net, eps)[None, :])
+        bundle = NoiseBundle(eps[None, :])
         cfg = DivergenceConfig(mc_samples=1, seed=0)
         _, _, nll, _ = build_loss_graph(net, batch, "kl", cfg, 1.0, bundle)
         assert nll.item() == pytest.approx(golden_nll_case["expected"], rel=1e-12)
@@ -109,7 +110,7 @@ class TestNllMc:
         rng = np.random.default_rng([1, 2, 0])
         expected = 0.0
         for _ in range(3):
-            logits = forward(net, x, draw_noise(net, rng))
+            logits = forward(net, x, rng.standard_normal(net.n_parameters))
             m = logits.max(axis=1, keepdims=True)
             lse = (m + np.log(np.exp(logits - m).sum(axis=1, keepdims=True)))[:, 0]
             expected += float(np.sum(lse - logits[np.arange(len(y)), y]))
@@ -197,7 +198,8 @@ class TestJsgClosedLoss:
     def test_continuous_in_alpha_extreme_sigmas(self):
         # no NaN/Inf and no jumps across a dense alpha grid for sigma in [1e-6, 1e3]
         net = one_weight_net(w_mu=0.3, w_sigma=1e-6, prior_mu=0.0, prior_sigma=1.0)
-        net.layers[0].biases = VariationalParams([0.1], [rho_for_sigma(1e3)])
+        net.layers[0].biases.mu[:] = 0.1
+        net.layers[0].biases.rho[:] = rho_for_sigma(1e3)
         batch = (np.zeros((0, 1)), np.array([], dtype=int))
         alphas = np.linspace(0.0, 1.0, 201)
         vals = [
@@ -217,9 +219,8 @@ class TestJsgClosedLoss:
         expected = 0.0
         for layer in net.layers:
             for params, dim in ((layer.weights, layer.weights.dim), (layer.biases, layer.biases.dim)):
-                expected += jsg_gaussian_closed(
-                    params.to_gaussian(), net.prior_for(dim), alpha
-                )
+                prior = DiagonalGaussian(np.full(dim, net.prior.mu[0]), np.full(dim, net.prior.sigma[0]))
+                expected += jsg_gaussian_closed(params.to_gaussian(), prior, alpha)
         assert out.divergence_term == pytest.approx(lam * expected, rel=1e-12)
 
 
@@ -353,8 +354,7 @@ class TestSharedSampling:
             row = []
             for l in net.layers:
                 for n in (l.weights.dim, l.biases.dim):
-                    p = net.prior_for(n)
-                    row.append(p.mu + p.sigma * rng.standard_normal(n))
+                    row.append(net.prior.mu + net.prior.sigma * rng.standard_normal(n))
             prior.append(np.concatenate(row))
         np.testing.assert_array_equal(bundle.eps, np.array(eps))
         np.testing.assert_array_equal(bundle.prior, np.array(prior))
@@ -380,8 +380,8 @@ class TestDominanceRealized:
             net = random_net(rng)
             # enforce the variance condition: all posterior sigmas below prior sigma
             for layer in net.layers:
-                layer.weights = VariationalParams(layer.weights.mu, rng.uniform(-5, -2, layer.weights.dim))
-                layer.biases = VariationalParams(layer.biases.mu, rng.uniform(-5, -2, layer.biases.dim))
+                layer.weights.rho[:] = rng.uniform(-5, -2, layer.weights.dim)
+                layer.biases.rho[:] = rng.uniform(-5, -2, layer.biases.dim)
             kl_div = kl_loss(net, batch, DivergenceConfig(seed=1)).divergence_term
             found = False
             for alpha in np.linspace(0.05, 1.0, 20):

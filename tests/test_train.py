@@ -1,6 +1,8 @@
 """Tests for gradients, SGD training, scheduling, and random search."""
 
+import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -36,12 +38,9 @@ def fixture_net(seed=21):
     net = BayesianNetwork.initialize((2, 3, 2), prior, seed)
     rng = np.random.default_rng(seed + 1)
     for layer in net.layers:
-        layer.weights = VariationalParams(
-            rng.normal(0, 0.5, layer.weights.dim), rng.uniform(-3, -1, layer.weights.dim)
-        )
-        layer.biases = VariationalParams(
-            rng.normal(0, 0.5, layer.biases.dim), rng.uniform(-3, -1, layer.biases.dim)
-        )
+        for params in (layer.weights, layer.biases):
+            params.mu[:] = rng.normal(0, 0.5, params.dim)
+            params.rho[:] = rng.uniform(-3, -1, params.dim)
     return net
 
 
@@ -61,12 +60,10 @@ def vec_to_net(template, vec):
     net = template.copy()
     pos = 0
     for l in net.layers:
-        chunks = []
-        for dim in (l.weights.dim, l.weights.dim, l.biases.dim, l.biases.dim):
-            chunks.append(vec[pos:pos + dim])
-            pos += dim
-        l.weights = VariationalParams(chunks[0], chunks[1])
-        l.biases = VariationalParams(chunks[2], chunks[3])
+        for params in (l.weights, l.biases):
+            params.mu[:] = vec[pos:pos + params.dim]
+            params.rho[:] = vec[pos + params.dim:pos + 2 * params.dim]
+            pos += 2 * params.dim
     return net
 
 
@@ -154,8 +151,9 @@ class TestGradients:
         # zero-mean, collapsed-noise net at a symmetric batch: nll gradient ~ 0 on mu
         net = BayesianNetwork.initialize((2, 2), DiagonalGaussian([0.0], [1.0]), 0)
         for l in net.layers:
-            l.weights = VariationalParams(np.zeros(l.weights.dim), np.full(l.weights.dim, -40.0))
-            l.biases = VariationalParams(np.zeros(l.biases.dim), np.full(l.biases.dim, -40.0))
+            for params in (l.weights, l.biases):
+                params.mu[:] = 0.0
+                params.rho[:] = -40.0
         x = np.array([[0.5, 0.5], [0.5, 0.5]])
         y = np.array([0, 1])  # symmetric labels at identical inputs
         cfg = DivergenceConfig(alpha=0.5, lam=0.0, seed=1)
@@ -297,6 +295,51 @@ class TestTrain:
         assert len(rows) == 2
         assert rows[0].startswith("1,")
         assert len(rows[0].split(",")) == 7
+
+
+class TestParameterStore:
+    """The network's flat mu and rho are the only copy of its parameters."""
+
+    def test_layers_are_frozen_views_of_the_store(self):
+        net = fixture_net()
+        net.layers[1].biases.rho[0] = 0.25
+        assert net.rho[net.layout()[1][1][0]][0] == 0.25
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            net.layers[0].weights = VariationalParams(np.zeros(6), np.zeros(6))
+
+    def test_flat_params_share_no_memory_with_the_network(self):
+        net = fixture_net()
+        for snapshot in net.flat_params():
+            for store in (net.mu, net.rho):
+                assert not np.shares_memory(snapshot, store)
+
+    def test_set_flat_params_copies_its_arguments(self):
+        net = fixture_net()
+        mu, rho = np.arange(net.n_parameters, dtype=float), np.full(net.n_parameters, -2.0)
+        net.set_flat_params(mu, rho)
+        mu[:] = 99.0
+        rho[:] = 99.0
+        np.testing.assert_array_equal(net.mu, np.arange(net.n_parameters))
+        np.testing.assert_array_equal(net.layers[0].weights.rho, -2.0)
+        with pytest.raises(ValueError):
+            net.set_flat_params(mu[:-1], rho[:-1])
+
+    def test_best_params_stay_those_of_the_best_epoch(self, monkeypatch):
+        # validation accuracy 1 / epoch makes epoch 1 the best; two more epochs follow
+        snapshots = {}
+
+        def accuracy_by_epoch(net, x, y, n_samples, seed):
+            snapshots[seed[2]] = net.flat_params()
+            return 1.0 / seed[2]
+
+        monkeypatch.setattr(sys.modules["jsbnn.train"], "_epoch_accuracy", accuracy_by_epoch)
+        net = fixture_net()
+        result = train(net, separable_dataset(), "kl", DivergenceConfig(seed=5),
+                       OptimizerState(0.1), epochs=3, batch_size=16)
+        assert result.best_epoch == 1
+        for best, at_epoch_1, now in zip(result.best_params, snapshots[1], (net.mu, net.rho)):
+            np.testing.assert_array_equal(best, at_epoch_1)
+            assert not np.array_equal(best, now)
 
 
 class TestRandomSearch:
