@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -60,6 +60,14 @@ class VariationalDenseLayer:
             raise ValueError(f"unknown activation {self.activation!r}")
 
 
+def _view(mu: np.ndarray, rho: np.ndarray) -> VariationalParams:
+    # store slices; the layers' own VariationalParams validated these values
+    view = object.__new__(VariationalParams)
+    object.__setattr__(view, "mu", mu)
+    object.__setattr__(view, "rho", rho)
+    return view
+
+
 @dataclass
 class BayesianNetwork:
     """Ordered variational dense layers plus a shared prior over every parameter.
@@ -98,8 +106,8 @@ class BayesianNetwork:
             pos = b.stop
             self._layout.append(((w, (l.fan_in, l.fan_out)), (b, (l.fan_out,))))
         self.layers = [
-            replace(l, weights=VariationalParams(self.mu[w], self.rho[w]),
-                    biases=VariationalParams(self.mu[b], self.rho[b]))
+            VariationalDenseLayer(l.fan_in, l.fan_out, _view(self.mu[w], self.rho[w]),
+                                  _view(self.mu[b], self.rho[b]), l.activation)
             for l, ((w, _), (b, _)) in zip(self.layers, self._layout)
         ]
 
@@ -127,8 +135,7 @@ class BayesianNetwork:
     def set_flat_params(self, mu: np.ndarray, rho: np.ndarray):
         """Copy flat (mu, rho) vectors into the store; ValueError unless both are
         finite and of length P."""
-        mu, rho = np.asarray(mu, dtype=np.float64), np.asarray(rho, dtype=np.float64)
-        if mu.shape != self.mu.shape or rho.shape != self.rho.shape:
+        if np.shape(mu) != self.mu.shape or np.shape(rho) != self.rho.shape:
             raise ValueError(f"need two vectors of length {self.mu.size}")
         if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(rho))):
             raise ValueError("mu and rho must be finite")
