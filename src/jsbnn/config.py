@@ -50,8 +50,12 @@ def _need(section: dict, key: str, where: str):
 
 
 def _check_nonnegative(value, where: str):
-    if not (math.isfinite(value) and value >= 0):
-        raise ConfigError(f"{where}: must be finite and >= 0")
+    try:
+        ok = math.isfinite(value) and value >= 0
+    except (TypeError, OverflowError):  # not a number, or an int beyond float range
+        ok = False
+    if not ok:
+        raise ConfigError(f"{where}: must be a finite number >= 0")
 
 
 def _check_known(section: dict, allowed, where: str):

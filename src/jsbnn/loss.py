@@ -205,8 +205,8 @@ def build_loss_graph(net: BayesianNetwork, batch, kind: str, cfg: DivergenceConf
                      minibatch_scale: float, bundle: NoiseBundle):
     """Assemble the full loss graph; returns (total, divergence, nll, (mu, rho)).
 
-    mu and rho are the two leaf tensors, the flat posterior parameters in the
-    network's layout. The divergence tensor already carries the constraint
+    mu and rho are the two leaf tensors, whose values are the network's own
+    flat mu and rho arrays, not copies. The divergence tensor already carries the constraint
     weight lam (fixed to 1 for the plain KL loss); total = minibatch_scale *
     divergence + nll. An empty batch yields nll = 0, i.e. a pure divergence
     objective.

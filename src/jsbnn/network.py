@@ -133,8 +133,7 @@ class BayesianNetwork:
         return self.mu.copy(), self.rho.copy()
 
     def set_flat_params(self, mu: np.ndarray, rho: np.ndarray):
-        """Copy flat (mu, rho) vectors into the store; ValueError unless both are
-        finite and of length P."""
+        """Copy flat (mu, rho) vectors into the store; ValueError unless finite and of length P."""
         if np.shape(mu) != self.mu.shape or np.shape(rho) != self.rho.shape:
             raise ValueError(f"need two vectors of length {self.mu.size}")
         if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(rho))):
@@ -292,8 +291,7 @@ def load_checkpoint(path) -> BayesianNetwork:
 def _network_from_checkpoint(raw: dict) -> BayesianNetwork:
     sizes, specs, activations = raw["sizes"], raw["layers"], raw["activations"]
     if len(sizes) != len(specs) + 1 or len(activations) != len(specs):
-        raise ValueError(f"{len(sizes)} sizes and {len(activations)} activations "
-                         f"for {len(specs)} layers")
+        raise ValueError(f"{len(sizes)} sizes and {len(activations)} activations for {len(specs)} layers")
     layers = []
     for i, spec in enumerate(specs):
         layers.append(

@@ -20,7 +20,7 @@ from jsbnn.divergence import (
     kl_gaussian,
     variance_condition_holds,
 )
-from jsbnn.gaussian import DiagonalGaussian, VariationalParams
+from jsbnn.gaussian import DiagonalGaussian
 from jsbnn.loss import jsa_loss_mc, jsg_loss_closed, jsg_loss_mc, kl_loss
 from jsbnn.metrics import accuracy, confusion, roc_auc
 from jsbnn.network import BayesianNetwork, predictive

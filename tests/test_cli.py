@@ -141,7 +141,7 @@ class TestTrainCommand:
     @pytest.mark.parametrize("section,key", [
         ("optimizer", "learning_rate"), ("loss", "lambda"), ("dataset", "noise_sigma"),
     ])
-    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 10**400, "0.1"])
     def test_non_finite_setting_is_config_error(self, tmp_path, capsys, section, key, value):
         path = write_config(tmp_path, epochs=1, **{section: {key: value}})
         assert main(["train", "--config", str(path), "--seed", "3"]) == 2

@@ -1,5 +1,6 @@
 """Tests for the diagonal Gaussian primitives."""
 
+import functools
 import math
 
 import numpy as np
@@ -10,18 +11,19 @@ from jsbnn.loss import _log_normal
 from jsbnn.network import BayesianNetwork, VariationalDenseLayer, forward
 
 
-_NETS = {}  # id(params) -> (params, net); holding params keeps the id unused by others
+@functools.lru_cache(maxsize=None)
+def _identity_layer_net(mu: tuple, rho: tuple) -> BayesianNetwork:
+    d = len(mu)
+    layer = VariationalDenseLayer(1, d, VariationalParams(mu, rho),
+                                  VariationalParams(np.zeros(d), np.zeros(d)), "identity")
+    return BayesianNetwork([layer], DiagonalGaussian([0.0], [1.0]))
 
 
 def sample_weights(params: VariationalParams, epsilon) -> np.ndarray:
     """The reparameterized draw mu + softplus(rho) * epsilon, as `forward` makes it:
     the logits at input 1 of a 1 -> d identity layer with zero, noise-free biases."""
-    d = params.dim
-    if id(params) not in _NETS:
-        layer = VariationalDenseLayer(1, d, params, VariationalParams(np.zeros(d), np.zeros(d)), "identity")
-        _NETS[id(params)] = params, BayesianNetwork([layer], DiagonalGaussian([0.0], [1.0]))
-    net = _NETS[id(params)][1]
-    return forward(net, np.ones(1), np.concatenate([np.asarray(epsilon, dtype=float), np.zeros(d)]))
+    net = _identity_layer_net(tuple(params.mu), tuple(params.rho))
+    return forward(net, np.ones(1), np.concatenate([np.asarray(epsilon, dtype=float), np.zeros(params.dim)]))
 
 
 def log_density(x, g: DiagonalGaussian) -> float:
