@@ -13,12 +13,16 @@ import hashlib
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .config import config_hash, load_config
+from .config import (
+    ALPHA, COUNT, FINITE, MAX_DRAW_FLOATS, NONNEGATIVE, POSITIVE, SEED, TEXT, config_hash, listof,
+    number, load_config,
+)
 from .data import manifest
 from .divergence import (
     alpha_threshold,
@@ -45,6 +49,29 @@ EXIT_NUMERIC = 3
 EXIT_VERIFY = 4
 
 
+def _flag(check, parse=float):
+    """argparse `type=` for a config check: a bad value exits 2 with a usage line."""
+    def convert(text):
+        try:
+            value = parse(text)
+        except ValueError:
+            value = text
+        if not check.ok(value):
+            raise argparse.ArgumentTypeError(f"must be {check.text}")
+        return value
+    return convert
+
+
+def _split(parse):
+    """argparse `parse` for a comma-separated list."""
+    return lambda text: [parse(v) for v in text.split(",")]
+
+
+_SEED, _COUNT = _flag(SEED, int), _flag(COUNT, int)
+_ALPHA, _FINITE, _POSITIVE, _NONNEGATIVE = (_flag(c) for c in (ALPHA, FINITE, POSITIVE, NONNEGATIVE))
+_DRAWS = number(f"[1, {MAX_DRAW_FLOATS}]", integer=True)  # the studies draw all their samples at once
+
+
 def _provenance(seed, params_hash: str) -> str:
     return f"# provenance: tool=jsbnn version={__version__} config_hash={params_hash} seed={seed}"
 
@@ -65,10 +92,7 @@ def _write_lines(path, lines):
 
 
 def cmd_train(args) -> int:
-    overrides = {"seed": args.seed, "epochs": args.epochs, "loss": args.loss,
-                 "alpha": args.alpha, "lambda": getattr(args, "lambda_"),
-                 "lr": args.lr, "output_dir": args.output_dir}
-    cfg = load_config(args.config, overrides)
+    cfg = load_config(args.config, vars(args))
     header = _provenance(cfg.seed, config_hash(cfg))
     out = Path(cfg.output_dir)
     ds = cfg.build_dataset()
@@ -88,26 +112,22 @@ def cmd_train(args) -> int:
                      cfg.dataset["split_fractions"])
         )
     (out / "config.json").write_text(cfg.to_json())
+    if not result.aborted:  # else the network was already rolled back to the last finite snapshot
+        restore_params(net, result.best_params)
+    save_checkpoint(net, out / "checkpoint.json", seed_lineage=[cfg.seed])
     if result.aborted:
-        # the network was already rolled back to the last finite snapshot
-        save_checkpoint(net, out / "checkpoint.json", seed_lineage=[cfg.seed])
         print(f"numeric abort: {result.abort_reason}; last-good checkpoint written", file=sys.stderr)
         return EXIT_NUMERIC
-    restore_params(net, result.best_params)
-    save_checkpoint(net, out / "checkpoint.json", seed_lineage=[cfg.seed])
     print(f"trained {len(result.trace)} epochs; best val acc {result.best_val_acc:.4f} "
           f"at epoch {result.best_epoch}; wrote {out}/trace.csv and {out}/checkpoint.json")
     return EXIT_OK
 
 
 def cmd_eval(args) -> int:
-    overrides = {"seed": args.seed, "output_dir": args.output_dir}
-    cfg = load_config(args.config, overrides)
-    if not Path(args.checkpoint).exists():
-        raise ConfigError(f"checkpoint {args.checkpoint} does not exist")
+    cfg = load_config(args.config, vars(args))
     try:
         net = load_checkpoint(args.checkpoint)
-    except ValueError as err:
+    except (OSError, ValueError) as err:
         raise ConfigError(f"checkpoint: {err}") from None
     ds = cfg.build_dataset()
     x_test, y_test = ds.subset("test")
@@ -117,7 +137,8 @@ def cmd_eval(args) -> int:
         raise ConfigError(
             f"checkpoint expects {net.n_inputs} features, dataset has {x_test.shape[1]}"
         )
-    probs = predictive(net, x_test, args.n_samples, [cfg.seed, 6])
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # checked just below
+        probs = predictive(net, x_test, args.n_samples, [cfg.seed, 6])
     if not np.all(np.isfinite(probs)):
         raise NumericError("non-finite predictive probabilities")
     cm = confusion(probs, y_test, net.n_outputs)
@@ -149,40 +170,28 @@ def cmd_eval(args) -> int:
 
 
 def cmd_divergence_curve(args) -> int:
-    if args.q_sigma_sq <= 0 or args.p_sigma_sq <= 0:
-        raise ConfigError("variances must be > 0")
     p = DiagonalGaussian([args.p_mu], [math.sqrt(args.p_sigma_sq)])
     mu_grid = np.linspace(args.mu_min, args.mu_max, args.mu_steps)
     params_hash = _hash_params(cmd="divergence-curve", q_sigma_sq=args.q_sigma_sq,
                                p_mu=args.p_mu, p_sigma_sq=args.p_sigma_sq,
-                               alpha=args.alpha, lam=getattr(args, "lambda_"),
+                               alpha=args.alpha, lam=getattr(args, "lambda"),
                                grid=[args.mu_min, args.mu_max, args.mu_steps],
                                mc_samples=args.mc_samples, seed=args.seed)
     rows = [_provenance(args.seed, params_hash), "mu,kl,jsg_closed,jsa_mc_scaled"]
-    lam = getattr(args, "lambda_")
+    kls, jsgs = [], []
     for i, mu in enumerate(mu_grid):
         q = DiagonalGaussian([mu], [math.sqrt(args.q_sigma_sq)])
-        kl = kl_gaussian(q, p)
-        jsg = jsg_gaussian_closed(q, p, args.alpha)
-        jsa = lam * jsa_mc(q, p, args.alpha, args.mc_samples, [args.seed, i])
-        rows.append(f"{float(mu)!r},{kl!r},{jsg!r},{jsa!r}")
+        kls.append(kl_gaussian(q, p))
+        jsgs.append(jsg_gaussian_closed(q, p, args.alpha))
+        jsa = getattr(args, "lambda") * jsa_mc(q, p, args.alpha, args.mc_samples, [args.seed, i])
+        rows.append(f"{float(mu)!r},{kls[-1]!r},{jsgs[-1]!r},{jsa!r}")
     _write_lines(args.output, rows)
-    kl_coeff = fit_quadratic_coefficient(
-        mu_grid, [kl_gaussian(DiagonalGaussian([m], [math.sqrt(args.q_sigma_sq)]), p) for m in mu_grid]
-    )
-    jsg_coeff = fit_quadratic_coefficient(
-        mu_grid,
-        [jsg_gaussian_closed(DiagonalGaussian([m], [math.sqrt(args.q_sigma_sq)]), p, args.alpha)
-         for m in mu_grid],
-    )
+    kl_coeff, jsg_coeff = (fit_quadratic_coefficient(mu_grid, ys) for ys in (kls, jsgs))
     print(f"wrote {args.output}; quadratic growth: jsg {jsg_coeff:.4f} vs kl {kl_coeff:.4f}")
     return EXIT_OK
 
 
 def cmd_mc_convergence(args) -> int:
-    sample_grid = [int(s) for s in args.samples.split(",")]
-    if sample_grid != sorted(sample_grid):
-        raise ConfigError("--samples must be ascending")
     q = DiagonalGaussian([args.q_mu], [math.sqrt(args.q_sigma_sq)])
     p = DiagonalGaussian([args.p_mu], [math.sqrt(args.p_sigma_sq)])
     closed = jsg_gaussian_closed(q, p, args.alpha)
@@ -190,9 +199,9 @@ def cmd_mc_convergence(args) -> int:
         raise ConfigError("closed-form divergence is zero; relative error undefined")
     params_hash = _hash_params(cmd="mc-convergence", q=[args.q_mu, args.q_sigma_sq],
                                p=[args.p_mu, args.p_sigma_sq], alpha=args.alpha,
-                               samples=sample_grid, seeds=args.seeds, seed=args.seed)
+                               samples=args.samples, seeds=args.seeds, seed=args.seed)
     rows = [_provenance(args.seed, params_hash), "n,mean_rel_error,closed_form"]
-    for n in sample_grid:
+    for n in args.samples:
         errs = [
             abs(jsg_mc(q, p, args.alpha, n, [args.seed, s]) - closed) / abs(closed)
             for s in range(args.seeds)
@@ -214,6 +223,51 @@ def _random_univariate_pair(rng):
     return DiagonalGaussian([mq], [sq]), DiagonalGaussian([mp], [sp])
 
 
+def _jsa_bound_holds(q, p, rng):
+    """Boundedness of the skewed-mixture divergence (quadrature oracle)."""
+    for alpha in np.arange(0.1, 0.95, 0.1):
+        val = quadrature_jsa(q.mu[0], q.sigma[0], p.mu[0], p.sigma[0], float(alpha))
+        yield jsa_bound(float(alpha)) + 1e-9 - val >= 0, (float(alpha), val)
+
+
+def _dominance_threshold_holds(q, p, rng):
+    """Positive dominance threshold; dominance boolean consistent with it."""
+    thr = alpha_threshold(q, p)
+    alpha = float(rng.uniform(0, 1))
+    yield (thr >= 0.0) and (jsg_dominates_kl(q, p, alpha, 1.0) == (alpha > thr)), (thr, alpha)
+
+
+def _variance_condition_holds(q, p, rng):
+    """Threshold admissible within [0,1] exactly when the prior variance dominates."""
+    thr = alpha_threshold(q, p)
+    gamma = p.var[0] / q.var[0]
+    dmu2 = (p.mu[0] - q.mu[0]) ** 2
+    expr = gamma - 1 / gamma - 2 * math.log(gamma) + dmu2 / q.var[0] * (1 - 1 / gamma)
+    yield ((thr < 1.0) == variance_condition_holds(q, p)) and (
+        (expr > 0) == (kl_gaussian(p, q) > kl_gaussian(q, p))
+    ), (thr,)
+
+
+def _skew_duality_holds(q, p, rng):
+    """Closed-form structure: skew duality and KL recovery at the endpoints."""
+    alpha = float(rng.uniform(0, 1))
+    dual = abs(jsg_gaussian_closed(q, p, alpha) - jsg_gaussian_closed(p, q, 1 - alpha))
+    rec0 = abs(jsg_gaussian_closed(q, p, 0.0) - kl_gaussian(q, p))
+    rec1 = abs(jsg_gaussian_closed(q, p, 1.0) - kl_gaussian(p, q))
+    scale = 1.0 + jsg_gaussian_closed(q, p, alpha)
+    yield max(dual, rec0, rec1) <= 1e-12 * scale, (alpha,)
+
+
+# (name, stream, check, what a trial covers besides its pair); a check takes the pair and
+# the stream and yields, per condition, whether it holds and what to report if not
+SUITES = (
+    ("jsa-bound", 10, _jsa_bound_holds, " x 9 alphas"),
+    ("dominance-threshold", 11, _dominance_threshold_holds, ""),
+    ("variance-condition", 12, _variance_condition_holds, ""),
+    ("skew-duality", 13, _skew_duality_holds, ""),
+)
+
+
 def run_theorem_suites(trials: int, seed: int, inject_bug: bool = False):
     """Randomized checks of the boundedness, dominance, and variance-condition results.
 
@@ -223,91 +277,24 @@ def run_theorem_suites(trials: int, seed: int, inject_bug: bool = False):
     """
     if trials < 1:
         raise ConfigError("trials must be >= 1")
-    flip = -1.0 if inject_bug else 1.0
     results = []
-
-    # boundedness of the skewed-mixture divergence (quadrature oracle)
-    rng = np.random.default_rng([int(seed), 10])
-    alphas = np.arange(0.1, 0.95, 0.1)
-    violations = []
-    for i in range(trials):
-        q, p = _random_univariate_pair(rng)
-        for alpha in alphas:
-            val = quadrature_jsa(q.mu[0], q.sigma[0], p.mu[0], p.sigma[0], float(alpha))
-            margin = jsa_bound(float(alpha)) + 1e-9 - val
-            if flip * margin < 0:
-                violations.append((q.mu[0], q.sigma[0], p.mu[0], p.sigma[0], float(alpha), val))
-    results.append((
-        "jsa-bound",
-        not violations,
-        f"{trials} pairs x {len(alphas)} alphas"
-        + (f"; first violation pair={violations[0]}" if violations else ""),
-    ))
-
-    # positive dominance threshold; dominance boolean consistent with it
-    rng = np.random.default_rng([int(seed), 11])
-    bad = []
-    for i in range(trials):
-        q, p = _random_univariate_pair(rng)
-        thr = alpha_threshold(q, p)
-        alpha = float(rng.uniform(0, 1))
-        ok = (thr >= 0.0) and (jsg_dominates_kl(q, p, alpha, 1.0) == (alpha > thr))
-        if flip * (1.0 if ok else -1.0) < 0:
-            bad.append((q.mu[0], q.sigma[0], p.mu[0], p.sigma[0], thr, alpha))
-    results.append((
-        "dominance-threshold",
-        not bad,
-        f"{trials} pairs" + (f"; first violation pair={bad[0]}" if bad else ""),
-    ))
-
-    # threshold admissible within [0,1] exactly when the prior variance dominates
-    rng = np.random.default_rng([int(seed), 12])
-    bad = []
-    for i in range(trials):
-        q, p = _random_univariate_pair(rng)
-        thr = alpha_threshold(q, p)
-        gamma = p.var[0] / q.var[0]
-        dmu2 = (p.mu[0] - q.mu[0]) ** 2
-        expr = gamma - 1 / gamma - 2 * math.log(gamma) + dmu2 / q.var[0] * (1 - 1 / gamma)
-        ok = ((thr < 1.0) == variance_condition_holds(q, p)) and (
-            (expr > 0) == (kl_gaussian(p, q) > kl_gaussian(q, p))
-        )
-        if flip * (1.0 if ok else -1.0) < 0:
-            bad.append((q.mu[0], q.sigma[0], p.mu[0], p.sigma[0], thr))
-    results.append((
-        "variance-condition",
-        not bad,
-        f"{trials} pairs" + (f"; first violation pair={bad[0]}" if bad else ""),
-    ))
-
-    # closed-form structure: skew duality and KL recovery at the endpoints
-    rng = np.random.default_rng([int(seed), 13])
-    bad = []
-    for i in range(trials):
-        q, p = _random_univariate_pair(rng)
-        alpha = float(rng.uniform(0, 1))
-        dual = abs(jsg_gaussian_closed(q, p, alpha) - jsg_gaussian_closed(p, q, 1 - alpha))
-        rec0 = abs(jsg_gaussian_closed(q, p, 0.0) - kl_gaussian(q, p))
-        rec1 = abs(jsg_gaussian_closed(q, p, 1.0) - kl_gaussian(p, q))
-        scale = 1.0 + jsg_gaussian_closed(q, p, alpha)
-        ok = max(dual, rec0, rec1) <= 1e-12 * scale
-        if flip * (1.0 if ok else -1.0) < 0:
-            bad.append((q.mu[0], q.sigma[0], p.mu[0], p.sigma[0], alpha))
-    results.append((
-        "skew-duality",
-        not bad,
-        f"{trials} pairs" + (f"; first violation pair={bad[0]}" if bad else ""),
-    ))
+    for name, stream, check, per_pair in SUITES:
+        rng = np.random.default_rng([int(seed), stream])
+        bad = []
+        for _ in range(trials):
+            q, p = _random_univariate_pair(rng)
+            bad += [(q.mu[0], q.sigma[0], p.mu[0], p.sigma[0], *extra)
+                    for holds, extra in check(q, p, rng) if holds == inject_bug]
+        results.append((name, not bad, f"{trials} pairs{per_pair}"
+                        + (f"; first violation pair={bad[0]}" if bad else "")))
     return results
 
 
 def cmd_verify_theorems(args) -> int:
     results = run_theorem_suites(args.trials, args.seed, inject_bug=args.inject_bug)
-    all_ok = True
     for name, passed, detail in results:
         print(f"{'PASS' if passed else 'FAIL'} {name}: {detail}")
-        all_ok &= passed
-    return EXIT_OK if all_ok else EXIT_VERIFY
+    return EXIT_OK if all(passed for _, passed, _ in results) else EXIT_VERIFY
 
 
 # ---------------------------------------------------------------------------
@@ -316,25 +303,19 @@ def cmd_verify_theorems(args) -> int:
 
 
 def cmd_search(args) -> int:
-    overrides = {"seed": args.seed, "output_dir": args.output_dir}
-    cfg = load_config(args.config, overrides)
-    lo, hi = (float(v) for v in args.alpha_range.split(","))
+    cfg = load_config(args.config, vars(args))
     space = SearchSpace(
-        alpha_range=(lo, hi),
-        lambda_choices=tuple(float(v) for v in args.lambda_choices.split(",")),
-        lr_choices=tuple(float(v) for v in args.lr_choices.split(",")),
+        alpha_range=tuple(args.alpha_range),
+        lambda_choices=tuple(args.lambda_choices),
+        lr_choices=tuple(args.lr_choices),
         trials=args.trials,
     )
     ds = cfg.build_dataset()
 
     def experiment(alpha, lam, lr):
-        from dataclasses import replace as dc_replace
-
         net = cfg.build_network()
-        dcfg = cfg.divergence_config()
-        dcfg = type(dcfg)(alpha=alpha, lam=lam, mc_samples=dcfg.mc_samples, seed=dcfg.seed)
-        opt = cfg.optimizer_state()
-        opt = dc_replace(opt, learning_rate=lr)
+        dcfg = replace(cfg.divergence_config(), alpha=alpha, lam=lam)
+        opt = replace(cfg.optimizer_state(), learning_rate=lr)
         result = train(net, ds, cfg.loss["kind"], dcfg, opt, epochs=cfg.epochs,
                        batch_size=cfg.optimizer["batch_size"],
                        early_stop_patience=cfg.early_stop_patience,
@@ -350,11 +331,9 @@ def cmd_search(args) -> int:
         return EXIT_NUMERIC
     out = Path(cfg.output_dir)
     header = _provenance(cfg.seed, config_hash(cfg))
-    rows = [header, "trial,alpha,lambda,lr,val_acc,diverged"]
-    for r in trial_rows:
-        rows.append(
-            f"{r['trial']},{r['alpha']!r},{r['lambda']!r},{r['lr']!r},{r['val_acc']!r},{int(r['diverged'])}"
-        )
+    rows = [header, "trial,alpha,lambda,lr,val_acc,diverged"] + [
+        f"{r['trial']},{r['alpha']!r},{r['lambda']!r},{r['lr']!r},{r['val_acc']!r},{int(r['diverged'])}"
+        for r in trial_rows]
     _write_lines(out / "search.csv", rows)
     (out / "best.json").write_text(json.dumps(best, indent=1, sort_keys=True))
     print(f"best: alpha={best['alpha']:.4f} lambda={best['lambda']} lr={best['lr']} "
@@ -385,80 +364,80 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    experiment = argparse.ArgumentParser(add_help=False)  # the flags of the config-driven commands
+    experiment.add_argument("--config", required=True, help="experiment config JSON")
+    experiment.add_argument("--seed", type=_SEED, required=True, help="master seed (mandatory)")
+    experiment.add_argument("--output-dir", type=_flag(TEXT, str), help="override output directory")
 
-    p = sub.add_parser("train", help="train a network; writes trace.csv and checkpoint.json")
-    p.add_argument("--config", required=True, help="experiment config JSON")
-    p.add_argument("--seed", type=int, required=True, help="master seed (mandatory)")
-    p.add_argument("--epochs", type=int, help="override config epochs")
+    p = sub.add_parser("train", parents=[experiment],
+                       help="train a network; writes trace.csv and checkpoint.json")
+    p.add_argument("--epochs", type=_COUNT, help="override config epochs")
     p.add_argument("--loss", choices=("kl", "jsg_closed", "jsg_mc", "jsa_mc"), help="override loss kind")
-    p.add_argument("--alpha", type=float, help="override skew alpha")
-    p.add_argument("--lambda", dest="lambda_", type=float, help="override constraint weight")
-    p.add_argument("--lr", type=float, help="override learning rate")
-    p.add_argument("--output-dir", help="override output directory")
+    p.add_argument("--alpha", type=_ALPHA, help="override skew alpha")
+    p.add_argument("--lambda", type=_NONNEGATIVE, help="override constraint weight")
+    p.add_argument("--lr", type=_NONNEGATIVE, help="override learning rate")
     p.add_argument("--step-csv", action="store_true",
                    help="also write per-step loss breakdowns to steps.csv")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="evaluate a checkpoint on the config's test split")
+    p = sub.add_parser("eval", parents=[experiment], help="evaluate a checkpoint on the config's test split")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int, required=True, help="master seed (mandatory)")
-    p.add_argument("--n-samples", type=int, default=100, help="predictive MC samples")
-    p.add_argument("--output-dir", help="override output directory")
+    p.add_argument("--n-samples", type=_COUNT, default=100, help="predictive MC samples")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("divergence-curve",
                        help="CSV of (mu, kl, jsg_closed, jsa_mc_scaled) for q=N(mu, q_sigma_sq) vs p")
-    p.add_argument("--q-sigma-sq", type=float, default=0.01)
-    p.add_argument("--p-mu", type=float, default=0.0)
-    p.add_argument("--p-sigma-sq", type=float, default=0.1)
-    p.add_argument("--alpha", type=float, default=0.5)
-    p.add_argument("--lambda", dest="lambda_", type=float, default=1.0,
+    p.add_argument("--q-sigma-sq", type=_POSITIVE, default=0.01)
+    p.add_argument("--p-mu", type=_FINITE, default=0.0)
+    p.add_argument("--p-sigma-sq", type=_POSITIVE, default=0.1)
+    p.add_argument("--alpha", type=_ALPHA, default=0.5)
+    p.add_argument("--lambda", type=_NONNEGATIVE, default=1.0,
                    help="scale factor on the jsa_mc column")
-    p.add_argument("--mu-min", type=float, default=-1.0)
-    p.add_argument("--mu-max", type=float, default=1.0)
-    p.add_argument("--mu-steps", type=int, default=41)
-    p.add_argument("--mc-samples", type=int, default=10_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--mu-min", type=_FINITE, default=-1.0)
+    p.add_argument("--mu-max", type=_FINITE, default=1.0)
+    p.add_argument("--mu-steps", type=_flag(number(f"[3, {MAX_DRAW_FLOATS}]", integer=True), int),
+                   default=41)
+    p.add_argument("--mc-samples", type=_flag(_DRAWS, int), default=10_000)
+    p.add_argument("--seed", type=_SEED, default=0)
     p.add_argument("--output", default="divergence_curve.csv")
     p.set_defaults(func=cmd_divergence_curve)
 
     p = sub.add_parser("mc-convergence",
                        help="CSV of mean relative MC error vs sample count against the closed form")
-    p.add_argument("--q-mu", type=float, default=5.0)
-    p.add_argument("--q-sigma-sq", type=float, default=1.0)
-    p.add_argument("--p-mu", type=float, default=0.0)
-    p.add_argument("--p-sigma-sq", type=float, default=1.0)
-    p.add_argument("--alpha", type=float, default=0.5)
-    p.add_argument("--samples", default="10,50,100,300,600,1000,10000",
-                   help="ascending comma-separated sample counts")
-    p.add_argument("--seeds", type=int, default=20, help="seeds averaged per sample count")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--q-mu", type=_FINITE, default=5.0)
+    p.add_argument("--q-sigma-sq", type=_POSITIVE, default=1.0)
+    p.add_argument("--p-mu", type=_FINITE, default=0.0)
+    p.add_argument("--p-sigma-sq", type=_POSITIVE, default=1.0)
+    p.add_argument("--alpha", type=_ALPHA, default=0.5)
+    p.add_argument("--samples", type=_flag(listof(_DRAWS, ordered=True), _split(int)),
+                   default="10,50,100,300,600,1000,10000", help="ascending comma-separated sample counts")
+    p.add_argument("--seeds", type=_COUNT, default=20, help="seeds averaged per sample count")
+    p.add_argument("--seed", type=_SEED, default=0)
     p.add_argument("--output", default="mc_convergence.csv")
     p.set_defaults(func=cmd_mc_convergence)
 
     p = sub.add_parser("verify-theorems", help="randomized verification suites; exit 4 on violation")
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trials", type=_COUNT, default=1000)
+    p.add_argument("--seed", type=_SEED, default=0)
     p.add_argument("--inject-bug", action="store_true",
                    help="negate every condition (harness self-test; must fail)")
     p.set_defaults(func=cmd_verify_theorems)
 
-    p = sub.add_parser("search", help="seeded random hyperparameter search")
-    p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--trials", type=int, default=8)
-    p.add_argument("--alpha-range", default="0.0,1.0")
-    p.add_argument("--lambda-choices", default="1.0")
-    p.add_argument("--lr-choices", default="0.05")
-    p.add_argument("--output-dir", help="override output directory")
+    p = sub.add_parser("search", parents=[experiment], help="seeded random hyperparameter search")
+    p.add_argument("--trials", type=_COUNT, default=8)
+    p.add_argument("--alpha-range", type=_flag(listof(ALPHA, 2, exact=True, ordered=True), _split(float)),
+                   default="0.0,1.0")
+    p.add_argument("--lambda-choices", type=_flag(listof(NONNEGATIVE), _split(float)), default="1.0")
+    p.add_argument("--lr-choices", type=_flag(listof(NONNEGATIVE), _split(float)), default="0.05")
     p.set_defaults(func=cmd_search)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed its usage line (or --help)
+        return exc.code
     try:
         return args.func(args)
     except ConfigError as err:

@@ -20,17 +20,24 @@ The schema (all keys lower-case; unknown keys rejected):
   "output_dir": "out", "seed": 123
 }
 
+`FIELDS` and `DATASET_FIELDS` give each field's type, range and default (none:
+required); values pass through unchanged. `parse_config` checks across fields:
+`sizes` against the data's feature and class counts, the centers' shape, the
+split sum, and the `MAX_DRAW_FLOATS` cap on the training draws.
+
 Datasets are built as: generate/load -> min-max normalize -> stratified split ->
 add per-split Gaussian noise (train, validation, and test alike).
 """
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import hashlib
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .data import CsvSchema, Dataset, NoiseSpec, add_noise, load_csv, minmax_normalize, split, synth_clusters
 from .divergence import DivergenceConfig
@@ -42,29 +49,115 @@ from .train import OptimizerState
 
 __all__ = ["ExperimentConfig", "parse_config", "load_config", "config_hash"]
 
-
-def _need(section: dict, key: str, where: str):
-    if key not in section:
-        raise ConfigError(f"{where}.{key}: missing required field")
-    return section[key]
+# One training step holds arrays of mc_samples x P floats (the weight draws) and
+# of mc_samples x batch_size x width floats (the activations): 256 MiB each here.
+MAX_DRAW_FLOATS = 2**25
 
 
-def _check_nonnegative(value, where: str):
-    try:
-        ok = math.isfinite(value) and value >= 0
-    except (TypeError, OverflowError):  # not a number, or an int beyond float range
-        ok = False
-    if not ok:
-        raise ConfigError(f"{where}: must be a finite number >= 0")
+class Check(NamedTuple):
+    """A field type: `ok(value)` tells whether a value is valid, `text` what it must be."""
+
+    text: str
+    ok: Callable[[object], bool]
 
 
-def _check_known(section: dict, allowed, where: str):
-    unknown = set(section) - set(allowed)
-    if unknown:
-        raise ConfigError(f"{where}: unknown fields {sorted(unknown)}")
+def _bound(text: str):
+    base, _, power = text.partition("**")
+    return int(base) ** int(power) if power else float(text)
 
 
-@dataclass(frozen=True)
+def number(interval: str = "(-inf, inf)", integer: bool = False) -> Check:
+    """A JSON number in `interval`, such as '[1, 2**63)': finite, never a bool, an int if `integer`."""
+    lo, hi = (_bound(t) for t in interval[1:-1].split(", "))
+
+    def ok(v):
+        try:
+            return (isinstance(v, int if integer else (int, float)) and not isinstance(v, bool)
+                    and (integer or math.isfinite(v)) and (lo <= v if interval[0] == "[" else lo < v)
+                    and (v <= hi if interval[-1] == "]" else v < hi))
+        except OverflowError:  # an integer beyond float range where a float is expected
+            return False
+
+    kind = "an integer" if integer else "a finite number"
+    return Check(kind + (f" in {interval}" if interval != "(-inf, inf)" else ""), ok)
+
+
+def choice(*options: str) -> Check:
+    return Check(f"one of {options}", lambda v: isinstance(v, str) and v in options)
+
+
+def listof(item: Check, min_len: int = 1, exact: bool = False, ordered: bool = False) -> Check:
+    """A list of `min_len` (or more, unless `exact`) items; `ordered` means non-decreasing."""
+    size = str(min_len) if exact else f"{min_len} or more"
+    return Check(
+        f"a {'non-decreasing ' * ordered}list of {size} items, each {item.text}",
+        lambda v: (isinstance(v, list) and (len(v) == min_len if exact else len(v) >= min_len)
+                   and all(map(item.ok, v)) and (not ordered or v == sorted(v))),
+    )
+
+
+def pair(first: Check, second: Check) -> Check:
+    return Check(f"a list [{first.text}, {second.text}]",
+                 lambda v: isinstance(v, list) and len(v) == 2 and first.ok(v[0]) and second.ok(v[1]))
+
+
+def optional(check: Check) -> Check:
+    return Check(f"{check.text}, or null", lambda v: v is None or check.ok(v))
+
+
+COUNT = number("[1, 2**63)", integer=True)
+SEED = number("[0, 2**64)", integer=True)
+FINITE = number()
+POSITIVE = number("(0, inf)")
+NONNEGATIVE = number("[0, inf)")
+ALPHA = number("[0, 1]")
+TEXT = Check("a non-empty string", lambda v: isinstance(v, str) and v != "")
+REQUIRED = object()  # the default of a field that has none
+
+FIELDS = (  # (path, type and range, default)
+    ("network.sizes", listof(COUNT, 2), [2, 16, 16, 2]),
+    ("network.activation", choice("relu", "identity"), "relu"),
+    ("network.prior_mu", FINITE, 0.0),
+    ("network.prior_sigma_sq", POSITIVE, 0.1),
+    ("network.init_seed", SEED, 0),
+    ("dataset.kind", choice("synthetic", "csv"), REQUIRED),
+    ("dataset.noise_mean", FINITE, 0.0),
+    ("dataset.noise_sigma", NONNEGATIVE, 0.0),
+    ("dataset.split_fractions", listof(number("[0, 1]"), 3, exact=True), [0.6, 0.2, 0.2]),
+    ("dataset.seed", SEED, 0),
+    ("loss.kind", choice(*LOSS_KINDS), REQUIRED),
+    ("loss.alpha", ALPHA, 0.0),
+    ("loss.lambda", NONNEGATIVE, 1.0),
+    ("loss.mc_samples", COUNT, 1),
+    ("optimizer.learning_rate", NONNEGATIVE, REQUIRED),
+    ("optimizer.schedule", listof(pair(number("[0, 2**63)", integer=True), POSITIVE), 0), []),
+    ("optimizer.momentum", number("[0, 1)"), 0.0),
+    ("optimizer.batch_size", COUNT, 32),
+    ("epochs", COUNT, REQUIRED),
+    ("early_stop_patience", optional(COUNT), 5),
+    ("eval_samples", COUNT, 32),
+    ("output_dir", TEXT, "out"),
+    ("seed", SEED, REQUIRED),
+)
+DATASET_FIELDS = {  # the fields of each dataset kind
+    "synthetic": (
+        ("dataset.n_per_class", COUNT, REQUIRED),
+        ("dataset.centers", listof(listof(FINITE), 2), REQUIRED),
+        ("dataset.spread", POSITIVE, REQUIRED),
+        ("dataset.bias_ratio", POSITIVE, 1.0),
+    ),
+    "csv": (
+        ("dataset.path", TEXT, REQUIRED),
+        ("dataset.n_features", COUNT, REQUIRED),
+        ("dataset.n_classes", COUNT, REQUIRED),
+    ),
+}
+# the field each override key (a CLI flag's name) replaces
+OVERRIDES = {"seed": "seed", "epochs": "epochs", "loss": "loss.kind", "alpha": "loss.alpha",
+             "lambda": "loss.lambda", "lr": "optimizer.learning_rate", "output_dir": "output_dir"}
+
+
+@dataclasses.dataclass(frozen=True)
 class ExperimentConfig:
     """Validated experiment description; see the module docstring for the schema."""
 
@@ -113,12 +206,13 @@ class ExperimentConfig:
         else:
             try:
                 ds = load_csv(d["path"], CsvSchema(n_features=d["n_features"], n_classes=d["n_classes"]))
-            except ValueError as err:
+            except (OSError, ValueError) as err:
                 raise ConfigError(f"dataset.path: {err}") from None
         ds = Dataset(minmax_normalize(ds.features), ds.labels)
-        ds = split(ds, d["split_fractions"], seed=d["seed"])
-        spec = NoiseSpec(mean=d["noise_mean"], sigma=d["noise_sigma"], seed=d["seed"])
-        return add_noise(ds, spec)
+        ds = add_noise(split(ds, d["split_fractions"], seed=d["seed"]), self.noise_spec())
+        if ds.subset("train")[0].shape[0] == 0:
+            raise ConfigError("dataset.split_fractions: the training split is empty")
+        return ds
 
     def noise_spec(self) -> NoiseSpec:
         return NoiseSpec(
@@ -129,152 +223,77 @@ class ExperimentConfig:
     # --- serialization ------------------------------------------------------
 
     def to_dict(self) -> dict:
-        return {
-            "network": dict(self.network),
-            "dataset": dict(self.dataset),
-            "loss": dict(self.loss),
-            "optimizer": dict(self.optimizer),
-            "epochs": self.epochs,
-            "early_stop_patience": self.early_stop_patience,
-            "eval_samples": self.eval_samples,
-            "output_dir": self.output_dir,
-            "seed": self.seed,
-        }
+        return dataclasses.asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=1, sort_keys=True)
 
 
-def parse_config(doc: dict, overrides: dict = None, check_paths: bool = True) -> ExperimentConfig:
-    """Validate a raw config dict; `overrides` (flag values) replace file values.
+def _section(doc: dict, name: str) -> dict:
+    section = doc.get(name, {}) if name else doc
+    if not isinstance(section, dict):
+        raise ConfigError(f"{name}: must be a JSON object")
+    return section
 
-    Raises ConfigError with the offending field path on any problem.
+
+def _walk(doc: dict, flags: dict, fields, out: dict) -> dict:
+    """Check each field's flag, file or default value and store it in `out`."""
+    for path, check, default in fields:
+        section, _, key = path.rpartition(".")
+        value = flags.get(path, _section(doc, section).get(key, default))
+        if value is REQUIRED:
+            raise ConfigError(f"{path}: missing required field")
+        if not check.ok(value):
+            raise ConfigError(f"{path}: must be {check.text}")
+        (out.setdefault(section, {}) if section else out)[key] = copy.copy(value)  # no shared default
+    return out
+
+
+def parse_config(doc: dict, overrides: dict = None) -> ExperimentConfig:
+    """Validate a raw config dict; `overrides` (flag values, None when unset) replace file values.
+
+    Keys of `overrides` that are not in OVERRIDES are ignored. Raises
+    ConfigError with the offending field path on any problem.
     """
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
-    doc = dict(doc)
-    overrides = dict(overrides or {})
-    _check_known(
-        doc,
-        ("network", "dataset", "loss", "optimizer", "epochs", "early_stop_patience",
-         "eval_samples", "output_dir", "seed"),
-        "config",
-    )
+    flags = {OVERRIDES[k]: v for k, v in (overrides or {}).items() if k in OVERRIDES and v is not None}
+    cfg = _walk(doc, flags, FIELDS, {})
+    _walk(doc, flags, DATASET_FIELDS[cfg["dataset"]["kind"]], cfg)
+    for section in [""] + [name for name, value in cfg.items() if isinstance(value, dict)]:
+        unknown = set(_section(doc, section)) - set(cfg[section] if section else cfg)
+        if unknown:
+            raise ConfigError(f"{section or 'config'}: unknown fields {sorted(unknown)}")
 
-    # ---- network ----
-    net = dict(doc.get("network", {}))
-    _check_known(net, ("sizes", "activation", "prior_mu", "prior_sigma_sq", "init_seed"), "network")
-    net.setdefault("sizes", [2, 16, 16, 2])
-    net.setdefault("activation", "relu")
-    net.setdefault("prior_mu", 0.0)
-    net.setdefault("prior_sigma_sq", 0.1)
-    net.setdefault("init_seed", 0)
-    sizes = net["sizes"]
-    if (not isinstance(sizes, list) or len(sizes) < 2
-            or any((not isinstance(s, int)) or s < 1 for s in sizes)):
-        raise ConfigError("network.sizes: must be a list of >= 2 positive integers")
-    if net["activation"] not in ("relu", "identity"):
-        raise ConfigError("network.activation: must be 'relu' or 'identity'")
-    if net["prior_sigma_sq"] <= 0:
-        raise ConfigError("network.prior_sigma_sq: must be > 0")
-
-    # ---- dataset ----
-    ds = dict(_need(doc, "dataset", "config"))
-    kind = _need(ds, "kind", "dataset")
-    common = ("kind", "noise_mean", "noise_sigma", "split_fractions", "seed")
-    ds.setdefault("noise_mean", 0.0)
-    ds.setdefault("noise_sigma", 0.0)
-    ds.setdefault("split_fractions", [0.6, 0.2, 0.2])
-    ds.setdefault("seed", 0)
-    if kind == "synthetic":
-        _check_known(ds, common + ("n_per_class", "centers", "spread", "bias_ratio"), "dataset")
-        ds.setdefault("bias_ratio", 1.0)
-        for key in ("n_per_class", "centers", "spread"):
-            _need(ds, key, "dataset")
-        if ds["n_per_class"] < 1:
-            raise ConfigError("dataset.n_per_class: must be >= 1")
-        if ds["bias_ratio"] <= 0:
-            raise ConfigError("dataset.bias_ratio: must be > 0")
-        if ds["spread"] <= 0:
-            raise ConfigError("dataset.spread: must be > 0")
-    elif kind == "csv":
-        _check_known(ds, common + ("path", "n_features", "n_classes"), "dataset")
-        for key in ("path", "n_features", "n_classes"):
-            _need(ds, key, "dataset")
-        if check_paths and not Path(ds["path"]).exists():
-            raise ConfigError(f"dataset.path: {ds['path']} does not exist")
+    sizes, ds = cfg["network"]["sizes"], cfg["dataset"]
+    if ds["kind"] == "synthetic":
+        if len({len(c) for c in ds["centers"]}) > 1:
+            raise ConfigError("dataset.centers: every center must have the same dimension")
+        n_features, n_classes = len(ds["centers"][0]), len(ds["centers"])
     else:
-        raise ConfigError(f"dataset.kind: unknown kind {kind!r}")
-    _check_nonnegative(ds["noise_sigma"], "dataset.noise_sigma")
-    fr = ds["split_fractions"]
-    if not isinstance(fr, list) or len(fr) != 3 or abs(sum(fr) - 1.0) > 1e-9:
+        if not Path(ds["path"]).exists():
+            raise ConfigError(f"dataset.path: {ds['path']} does not exist")
+        n_features, n_classes = ds["n_features"], ds["n_classes"]
+    if (sizes[0], sizes[-1]) != (n_features, n_classes):
+        raise ConfigError(f"network.sizes: must start with the dataset's {n_features} features "
+                          f"and end with its {n_classes} classes")
+    if abs(sum(ds["split_fractions"]) - 1.0) > 1e-9:
         raise ConfigError("dataset.split_fractions: must be three fractions summing to 1")
-
-    # ---- loss ----
-    loss = dict(_need(doc, "loss", "config"))
-    _check_known(loss, ("kind", "alpha", "lambda", "mc_samples"), "loss")
-    loss.setdefault("alpha", 0.0)
-    loss.setdefault("lambda", 1.0)
-    loss.setdefault("mc_samples", 1)
-    for key, flag in (("kind", "loss"), ("alpha", "alpha"), ("lambda", "lambda")):
-        if flag in overrides and overrides[flag] is not None:
-            loss[key] = overrides[flag]
-    if loss.get("kind") not in LOSS_KINDS:
-        raise ConfigError(f"loss.kind: must be one of {LOSS_KINDS}")
-    if not 0.0 <= loss["alpha"] <= 1.0:
-        raise ConfigError("loss.alpha: must lie in [0, 1]")
-    _check_nonnegative(loss["lambda"], "loss.lambda")
-    if loss["mc_samples"] < 1:
-        raise ConfigError("loss.mc_samples: must be >= 1")
-
-    # ---- optimizer ----
-    opt = dict(_need(doc, "optimizer", "config"))
-    _check_known(opt, ("learning_rate", "schedule", "momentum", "batch_size"), "optimizer")
-    opt.setdefault("schedule", [])
-    opt.setdefault("momentum", 0.0)
-    opt.setdefault("batch_size", 32)
-    if "lr" in overrides and overrides["lr"] is not None:
-        opt["learning_rate"] = overrides["lr"]
-    _check_nonnegative(_need(opt, "learning_rate", "optimizer"), "optimizer.learning_rate")
-    if opt["batch_size"] < 1:
-        raise ConfigError("optimizer.batch_size: must be >= 1")
-    for entry in opt["schedule"]:
-        if len(entry) != 2 or entry[1] <= 0:
-            raise ConfigError("optimizer.schedule: entries must be [epoch, positive multiplier]")
-
-    # ---- scalars ----
-    epochs = overrides.get("epochs") or doc.get("epochs")
-    if epochs is None or epochs < 1:
-        raise ConfigError("epochs: must be >= 1")
-    patience = doc.get("early_stop_patience", 5)
-    if patience is not None and patience < 1:
-        raise ConfigError("early_stop_patience: must be >= 1 (or null to disable)")
-    eval_samples = doc.get("eval_samples", 32)
-    if eval_samples < 1:
-        raise ConfigError("eval_samples: must be >= 1")
-    output_dir = overrides.get("output_dir") or doc.get("output_dir", "out")
-    seed = overrides.get("seed") if overrides.get("seed") is not None else doc.get("seed")
-    if seed is None:
-        raise ConfigError("seed: required (pass --seed or set it in the config)")
-    if not 0 <= int(seed) < 2**64:
-        raise ConfigError("seed: must fit in an unsigned 64-bit integer")
-
-    return ExperimentConfig(
-        network=net, dataset=ds, loss=loss, optimizer=opt,
-        epochs=int(epochs), early_stop_patience=patience,
-        eval_samples=int(eval_samples), output_dir=str(output_dir), seed=int(seed),
-    )
+    n_params = sum(a * b + b for a, b in zip(sizes, sizes[1:]))
+    widest = cfg["optimizer"]["batch_size"] * max(sizes)
+    if cfg["loss"]["mc_samples"] * max(n_params, widest) > MAX_DRAW_FLOATS:
+        raise ConfigError(f"loss.mc_samples: mc_samples x {n_params} parameters and mc_samples x "
+                          f"batch_size x widest layer must stay within {MAX_DRAW_FLOATS} floats")
+    return ExperimentConfig(**cfg)
 
 
 def load_config(path, overrides: dict = None) -> ExperimentConfig:
     """Read and validate a config JSON file."""
     try:
-        text = Path(path).read_text()
+        doc = json.loads(Path(path).read_bytes())
     except OSError as err:
         raise ConfigError(f"cannot read config {path}: {err}") from None
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # includes bytes that are not UTF-8
         raise ConfigError(f"{path}: invalid JSON ({err})") from None
     return parse_config(doc, overrides)
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -217,10 +218,13 @@ class TestEvalCommand:
         doc = json.loads(ck.read_text())
         doc["layers"][0]["weights"][key][0] = 1e308
         ck.write_text(json.dumps(doc))
-        with np.errstate(all="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
             code = main(["eval", "--checkpoint", str(ck), "--config", str(path), "--seed", "3"])
         assert code == 3
-        assert "numeric abort:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "numeric abort:" in err
+        assert err == "numeric abort: non-finite predictive probabilities\n"
         assert not (tmp_path / "out" / "metrics.json").exists()
 
     def test_shape_mismatch(self, tmp_path):
