@@ -2,11 +2,14 @@
 
 The dataset is two overlapping 2-D Gaussian clusters with a 2.52:1 class
 imbalance and heavy feature noise in every split. The KL-trained network tends
-to collapse to the majority class as the noise grows, while the JS-G and JS-A
-losses hold on to more signal and make fewer false-negative mistakes on the
-minority class.
+to collapse to the majority class as the noise grows, while the closed-form
+JS-G loss keeps learning and makes fewer false-negative mistakes on the
+minority class. The JS-A row is likelihood-only training: `jsa_mc` mixes q and
+the prior over the whole weight vector, where their log densities differ by
+about a thousand nats, so its divergence term stays at lambda * jsa_bound(alpha)
+and has zero gradient on this network.
 
-Takes about a minute. Run:  python demos/train_and_compare.py
+Takes a few seconds. Run:  python demos/train_and_compare.py
 """
 
 import numpy as np

@@ -20,8 +20,8 @@ import numpy as np
 
 from . import __version__
 from .config import (
-    ALPHA, COUNT, FINITE, MAX_DRAW_FLOATS, NONNEGATIVE, POSITIVE, SEED, TEXT, config_hash, listof,
-    number, load_config,
+    ALPHA, COUNT, EVAL_SAMPLES, FINITE, MAX_DRAW_FLOATS, NONNEGATIVE, POSITIVE, SEED, TEXT, config_hash,
+    listof, number, load_config,
 )
 from .data import manifest
 from .divergence import (
@@ -134,9 +134,7 @@ def cmd_eval(args) -> int:
     if x_test.shape[0] == 0:
         raise ConfigError("dataset has an empty test split")
     if x_test.shape[1] != net.n_inputs:
-        raise ConfigError(
-            f"checkpoint expects {net.n_inputs} features, dataset has {x_test.shape[1]}"
-        )
+        raise ConfigError(f"checkpoint expects {net.n_inputs} features, dataset has {x_test.shape[1]}")
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # checked just below
         probs = predictive(net, x_test, args.n_samples, [cfg.seed, 6])
     if not np.all(np.isfinite(probs)):
@@ -225,9 +223,9 @@ def _random_univariate_pair(rng):
 
 def _jsa_bound_holds(q, p, rng):
     """Boundedness of the skewed-mixture divergence (quadrature oracle)."""
-    for alpha in np.arange(0.1, 0.95, 0.1):
-        val = quadrature_jsa(q.mu[0], q.sigma[0], p.mu[0], p.sigma[0], float(alpha))
-        yield jsa_bound(float(alpha)) + 1e-9 - val >= 0, (float(alpha), val)
+    alphas = np.arange(0.1, 0.95, 0.1).tolist()
+    for alpha, val in zip(alphas, quadrature_jsa(q.mu[0], q.sigma[0], p.mu[0], p.sigma[0], alphas).tolist()):
+        yield jsa_bound(alpha) + 1e-9 - val >= 0, (alpha, val)
 
 
 def _dominance_threshold_holds(q, p, rng):
@@ -304,12 +302,8 @@ def cmd_verify_theorems(args) -> int:
 
 def cmd_search(args) -> int:
     cfg = load_config(args.config, vars(args))
-    space = SearchSpace(
-        alpha_range=tuple(args.alpha_range),
-        lambda_choices=tuple(args.lambda_choices),
-        lr_choices=tuple(args.lr_choices),
-        trials=args.trials,
-    )
+    space = SearchSpace(alpha_range=tuple(args.alpha_range), lambda_choices=tuple(args.lambda_choices),
+                        lr_choices=tuple(args.lr_choices), trials=args.trials)
     ds = cfg.build_dataset()
 
     def experiment(alpha, lam, lr):
@@ -382,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", parents=[experiment], help="evaluate a checkpoint on the config's test split")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--n-samples", type=_COUNT, default=100, help="predictive MC samples")
+    p.add_argument("--n-samples", type=_flag(EVAL_SAMPLES, int), default=100, help="predictive MC samples")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("divergence-curve",

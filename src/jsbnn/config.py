@@ -23,7 +23,8 @@ The schema (all keys lower-case; unknown keys rejected):
 `FIELDS` and `DATASET_FIELDS` give each field's type, range and default (none:
 required); values pass through unchanged. `parse_config` checks across fields:
 `sizes` against the data's feature and class counts, the centers' shape, the
-split sum, and the `MAX_DRAW_FLOATS` cap on the training draws.
+split sum, the `MAX_DATASET_FLOATS` cap on a synthetic data set's rows x
+widest layer and the `MAX_DRAW_FLOATS` cap on the training draws.
 
 Datasets are built as: generate/load -> min-max normalize -> stratified split ->
 add per-split Gaussian noise (train, validation, and test alike).
@@ -52,6 +53,11 @@ __all__ = ["ExperimentConfig", "parse_config", "load_config", "config_hash"]
 # One training step holds arrays of mc_samples x P floats (the weight draws) and
 # of mc_samples x batch_size x width floats (the activations): 256 MiB each here.
 MAX_DRAW_FLOATS = 2**25
+# A synthetic data set's rows x widest layer bounds its features array (rows x
+# features) and each predictive sample's activations (rows x width); the other cap
+# bounds the samples of each predictive pass (validation each epoch, eval).
+MAX_DATASET_FLOATS = 2**25
+MAX_EVAL_SAMPLES = 2**20
 
 
 class Check(NamedTuple):
@@ -106,6 +112,7 @@ def optional(check: Check) -> Check:
 
 
 COUNT = number("[1, 2**63)", integer=True)
+EVAL_SAMPLES = number(f"[1, {MAX_EVAL_SAMPLES}]", integer=True)
 SEED = number("[0, 2**64)", integer=True)
 FINITE = number()
 POSITIVE = number("(0, inf)")
@@ -135,7 +142,7 @@ FIELDS = (  # (path, type and range, default)
     ("optimizer.batch_size", COUNT, 32),
     ("epochs", COUNT, REQUIRED),
     ("early_stop_patience", optional(COUNT), 5),
-    ("eval_samples", COUNT, 32),
+    ("eval_samples", EVAL_SAMPLES, 32),
     ("output_dir", TEXT, "out"),
     ("seed", SEED, REQUIRED),
 )
@@ -174,24 +181,16 @@ class ExperimentConfig:
     # --- builders ---------------------------------------------------------
 
     def divergence_config(self) -> DivergenceConfig:
-        return DivergenceConfig(
-            alpha=self.loss["alpha"],
-            lam=self.loss["lambda"],
-            mc_samples=self.loss["mc_samples"],
-            seed=self.seed,
-        )
+        return DivergenceConfig(alpha=self.loss["alpha"], lam=self.loss["lambda"],
+                                mc_samples=self.loss["mc_samples"], seed=self.seed)
 
     def optimizer_state(self) -> OptimizerState:
-        return OptimizerState(
-            learning_rate=self.optimizer["learning_rate"],
-            schedule=tuple(tuple(e) for e in self.optimizer["schedule"]),
-            momentum=self.optimizer["momentum"],
-        )
+        return OptimizerState(learning_rate=self.optimizer["learning_rate"],
+                              schedule=tuple(tuple(e) for e in self.optimizer["schedule"]),
+                              momentum=self.optimizer["momentum"])
 
     def build_network(self) -> BayesianNetwork:
-        prior = DiagonalGaussian(
-            [self.network["prior_mu"]], [math.sqrt(self.network["prior_sigma_sq"])]
-        )
+        prior = DiagonalGaussian([self.network["prior_mu"]], [math.sqrt(self.network["prior_sigma_sq"])])
         return BayesianNetwork.initialize(
             self.network["sizes"], prior, self.network["init_seed"],
             hidden_activation=self.network["activation"],
@@ -200,9 +199,7 @@ class ExperimentConfig:
     def build_dataset(self) -> Dataset:
         d = self.dataset
         if d["kind"] == "synthetic":
-            ds = synth_clusters(
-                d["n_per_class"], d["centers"], d["spread"], d["bias_ratio"], d["seed"]
-            )
+            ds = synth_clusters(d["n_per_class"], d["centers"], d["spread"], d["bias_ratio"], d["seed"])
         else:
             try:
                 ds = load_csv(d["path"], CsvSchema(n_features=d["n_features"], n_classes=d["n_classes"]))
@@ -210,8 +207,9 @@ class ExperimentConfig:
                 raise ConfigError(f"dataset.path: {err}") from None
         ds = Dataset(minmax_normalize(ds.features), ds.labels)
         ds = add_noise(split(ds, d["split_fractions"], seed=d["seed"]), self.noise_spec())
-        if ds.subset("train")[0].shape[0] == 0:
-            raise ConfigError("dataset.split_fractions: the training split is empty")
+        for tag, name in (("train", "training"), ("validation", "validation")):
+            if ds.subset(tag)[0].shape[0] == 0:
+                raise ConfigError(f"dataset.split_fractions: the {name} split is empty")
         return ds
 
     def noise_spec(self) -> NoiseSpec:
@@ -284,6 +282,11 @@ def parse_config(doc: dict, overrides: dict = None) -> ExperimentConfig:
     if cfg["loss"]["mc_samples"] * max(n_params, widest) > MAX_DRAW_FLOATS:
         raise ConfigError(f"loss.mc_samples: mc_samples x {n_params} parameters and mc_samples x "
                           f"batch_size x widest layer must stay within {MAX_DRAW_FLOATS} floats")
+    # class 0 has round(n_per_class x bias_ratio) rows, every other class n_per_class
+    rows = ds["n_per_class"] * (n_classes - 1 + ds["bias_ratio"]) if ds["kind"] == "synthetic" else 0
+    if rows * max(sizes) > MAX_DATASET_FLOATS:
+        raise ConfigError(f"dataset.n_per_class: the data set's rows x widest layer {max(sizes)} "
+                          f"must stay within {MAX_DATASET_FLOATS} floats")
     return ExperimentConfig(**cfg)
 
 

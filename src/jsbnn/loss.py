@@ -59,17 +59,6 @@ class LossBreakdown:
     total: float
     minibatch_scale: float
 
-    @classmethod
-    def assemble(cls, divergence_term: float, nll_term: float, minibatch_scale: float) -> "LossBreakdown":
-        if not 0.0 < minibatch_scale <= 1.0:
-            raise ValueError(f"minibatch_scale must lie in (0, 1], got {minibatch_scale}")
-        return cls(
-            divergence_term=divergence_term,
-            nll_term=nll_term,
-            total=minibatch_scale * divergence_term + nll_term,
-            minibatch_scale=minibatch_scale,
-        )
-
     def csv_row(self, step: int) -> str:
         return f"{step},{self.divergence_term!r},{self.nll_term!r},{self.total!r}"
 

@@ -46,13 +46,6 @@ class ConfusionMatrix:
         """Count of positives predicted as any other class."""
         return int(self.counts[positive].sum() - self.counts[positive, positive])
 
-    def false_negative_rate(self, positive: int = 1) -> float:
-        fn = self.false_negatives(positive)
-        tp = int(self.counts[positive, positive])
-        if fn + tp == 0:
-            raise ValueError("no positive samples; FN rate undefined")
-        return fn / (fn + tp)
-
 
 @dataclass(frozen=True)
 class RocCurve:

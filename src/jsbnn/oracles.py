@@ -32,57 +32,81 @@ def _norm_logpdf(x, mu: float, sigma: float, log_sigma: float) -> np.ndarray:
     return (-y**2 / 2.0 - _LOG_SQRT_2PI) - log_sigma
 
 
-def _adaptive_simpson(f, knots: np.ndarray, tol: float, max_rounds: int = 60) -> float:
-    """Adaptive Simpson over the panels defined by `knots`, absolute tolerance `tol`.
+def _adaptive_simpson(f, knots: np.ndarray, tol: float, n_integrals: int = 1,
+                      max_rounds: int = 60) -> np.ndarray:
+    """Adaptive Simpson for `n_integrals` integrals over the panels defined by `knots`.
 
-    Works on a vectorized stack of intervals: every refinement round halves all
-    panels whose local Richardson error estimate is still too large. The
-    midpoints of a split panel's halves are the quarter points the round has
-    already evaluated, so each round evaluates `f` at two new points per panel.
-    Raises NumericError as soon as an integrand value is not finite.
+    `f(x, k)` returns integral `k[i]`'s integrand at `x[i]`. All integrals share
+    one vectorized stack of panels, each tagged with its integral's index.
+    Every refinement round halves all panels whose local Richardson error
+    estimate is above their share `tol * h / span` of the absolute tolerance
+    `tol`, so each integral keeps its own tolerance. The midpoints of a split
+    panel's halves are the quarter points the round has already evaluated, so
+    each round evaluates `f` once, at two new points per panel.
+
+    The panels stay sorted by integral, each integral's in the order a stack of
+    its own would hold them, and each round's accepted panels are summed per
+    integral with `np.sum` over a contiguous slice. So every integral equals,
+    bit for bit, what a one-integral stack computes. Raises NumericError as
+    soon as an integrand value is not finite.
     """
 
-    def checked(x):
-        fx = f(x)
-        if not np.all(np.isfinite(fx)):
+    def checked(x, k):
+        fx = f(x, k)
+        if not np.isfinite(fx).all():
             raise NumericError("adaptive Simpson quadrature met a non-finite integrand value")
         return fx
 
     knots = np.asarray(knots, dtype=np.float64)
-    a, b = knots[:-1], knots[1:]
-    m = 0.5 * (a + b)
     span = float(knots[-1] - knots[0])
-    fk = checked(knots)
-    fa, fm, fb = fk[:-1], checked(m), fk[1:]
-    total = 0.0
+    # evaluate every integral at the knots and the panel midpoints in one call
+    n_panels = knots.size - 1
+    grid = np.empty(2 * n_panels + 1)
+    grid[0::2], grid[1::2] = knots, 0.5 * (knots[:-1] + knots[1:])
+    fgrid = checked(np.tile(grid, n_integrals), np.repeat(np.arange(n_integrals), grid.size))
+    fgrid = fgrid.reshape(n_integrals, grid.size)
+    k = np.repeat(np.arange(n_integrals), n_panels)
+    a, m, b = (np.tile(grid[lo:lo + 2 * n_panels:2], n_integrals) for lo in (0, 1, 2))
+    fa, fm, fb = (fgrid[:, lo:lo + 2 * n_panels:2].ravel() for lo in (0, 1, 2))
+    totals = [0.0] * n_integrals
     for _ in range(max_rounds):
-        lm = 0.5 * (a + m)
-        rm = 0.5 * (m + b)
-        flm, frm = checked(lm), checked(rm)
+        n = k.size
+        quarters, k2 = np.concatenate([0.5 * (a + m), 0.5 * (m + b)]), np.concatenate([k, k])
+        fq = checked(quarters, k2)
+        flm, frm = fq[:n], fq[n:]
         h = b - a
         s_whole = h / 6.0 * (fa + 4.0 * fm + fb)
         s_halves = h / 12.0 * (fa + 4.0 * flm + 2.0 * fm + 4.0 * frm + fb)
         err = (s_halves - s_whole) / 15.0
         ok = np.abs(err) <= tol * (h / span)
-        total += float(np.sum((s_halves + err)[ok]))
-        if np.all(ok):
-            return total
-        bad = ~ok
-        # split the bad panels in two; their midpoints are this round's quarter points
-        a, m, b = (np.concatenate([a[bad], m[bad]]), np.concatenate([lm[bad], rm[bad]]),
-                   np.concatenate([m[bad], b[bad]]))
-        fa, fm, fb = (np.concatenate([fa[bad], fm[bad]]), np.concatenate([flm[bad], frm[bad]]),
-                      np.concatenate([fm[bad], fb[bad]]))
+        accepted, owner = (s_halves + err)[ok], k[ok]
+        cuts = (np.flatnonzero(owner[1:] != owner[:-1]) + 1).tolist()
+        for lo, hi in zip([0] + cuts, cuts + [owner.size]):
+            if lo < hi:
+                totals[owner[lo]] += float(np.sum(accepted[lo:hi]))
+        if ok.all():
+            return np.array(totals)
+        # split each bad panel into (a, m) and (m, b), whose midpoints are its
+        # quarter points; `sel` picks them from the concatenations of the left
+        # and right halves' values, and the stable sort puts each integral's
+        # left halves before its right halves
+        bad = np.flatnonzero(~ok)
+        halves = np.concatenate([bad, bad + n])
+        sel = halves[np.argsort(k2[halves], kind="stable")]
+        k = k2[sel]
+        a, m, b = np.concatenate([a, m])[sel], quarters[sel], np.concatenate([m, b])[sel]
+        fa, fm, fb = np.concatenate([fa, fm])[sel], fq[sel], np.concatenate([fm, fb])[sel]
     raise NumericError("adaptive Simpson quadrature did not converge")
 
 
 def quadrature_jsa(q_mu: float, q_sigma: float, p_mu: float, p_sigma: float,
-                   alpha: float, tol: float = 1e-10) -> float:
+                   alpha, tol: float = 1e-10):
     """High-precision univariate generalized JS divergence via quadrature.
 
     Evaluates (1-alpha) * KL(q || m) + alpha * KL(p || m) with the skewed mixture
     m = alpha*q + (1-alpha)*p, integrating each KL integrand with adaptive
-    Simpson over the union of both 10-sigma supports.
+    Simpson over the union of both 10-sigma supports. The KL integrals of every
+    alpha share one refinement stack.
 
     Parameters
     ----------
@@ -90,15 +114,21 @@ def quadrature_jsa(q_mu: float, q_sigma: float, p_mu: float, p_sigma: float,
         Mean and standard deviation of the first (posterior-slot) Gaussian.
     p_mu, p_sigma : float
         Mean and standard deviation of the second (prior-slot) Gaussian.
-    alpha : float
-        Skew parameter in [0, 1].
+    alpha : float or 1-D array of floats
+        Skew parameter(s) in [0, 1].
     tol : float
         Absolute tolerance per integral.
+
+    Returns a float for a scalar alpha and an array of one value per alpha for
+    a vector; each value equals the scalar call's bit for bit.
 
     Raises ValueError for an alpha outside [0, 1], a non-finite mean, or a
     standard deviation that is not finite and positive.
     """
-    if not 0.0 <= alpha <= 1.0:
+    alphas = np.asarray(alpha, dtype=np.float64)
+    if alphas.ndim > 1:
+        raise ValueError("alpha must be a scalar or a 1-D array")
+    if not np.all((0.0 <= alphas) & (alphas <= 1.0)):
         raise ValueError("alpha must lie in [0, 1]")
     for name, mu, sigma in (("q", q_mu, q_sigma), ("p", p_mu, p_sigma)):
         if not math.isfinite(mu):
@@ -115,32 +145,34 @@ def quadrature_jsa(q_mu: float, q_sigma: float, p_mu: float, p_sigma: float,
     knots = np.unique(np.clip(np.asarray(marks, dtype=np.float64), lo, hi))
 
     log_q_sigma, log_p_sigma = np.log(q_sigma), np.log(p_sigma)
-    if 0.0 < alpha < 1.0:
-        log_alpha, log_beta = np.log(alpha), np.log(1.0 - alpha)
+    flat = np.atleast_1d(alphas)
+    with np.errstate(divide="ignore"):
+        log_alpha, log_beta = np.log(flat), np.log(1.0 - flat)
+    # one KL integral per nonzero weight: (alpha index, weight, integrand of q or of P)
+    terms = []
+    for j, a in enumerate(flat.tolist()):
+        if a < 1.0:
+            terms.append((j, 1.0 - a, True))
+        if a > 0.0:
+            terms.append((j, a, False))
+    of_alpha = np.array([j for j, _, _ in terms], dtype=np.intp)
+    of_q = np.array([own_q for _, _, own_q in terms], dtype=bool)
+    log_a, log_b = log_alpha[of_alpha], log_beta[of_alpha]
 
-    def kl_integrand(of_q: bool):
-        """x -> f(x) * (log f(x) - log m(x)), for f = q or f = P."""
+    def integrand(x, k):
+        """x -> f(x) * (log f(x) - log m(x)) for integral k, with f = q or f = P."""
+        lq = _norm_logpdf(x, q_mu, q_sigma, log_q_sigma)
+        lp = _norm_logpdf(x, p_mu, p_sigma, log_p_sigma)
+        # logaddexp(-inf, y) is y exactly, so alpha 0 and 1 give the mixtures P and q
+        log_mix = np.logaddexp(log_a[k] + lq, log_b[k] + lp)
+        own = np.where(of_q[k], lq, lp)
+        return np.exp(own) * (own - log_mix)
 
-        def integrand(x):
-            lq = _norm_logpdf(x, q_mu, q_sigma, log_q_sigma)
-            lp = _norm_logpdf(x, p_mu, p_sigma, log_p_sigma)
-            if alpha == 0.0:
-                log_mix = lp
-            elif alpha == 1.0:
-                log_mix = lq
-            else:
-                log_mix = np.logaddexp(log_alpha + lq, log_beta + lp)
-            own = lq if of_q else lp
-            return np.exp(own) * (own - log_mix)
-
-        return integrand
-
-    total = 0.0
-    if alpha < 1.0:
-        total += (1.0 - alpha) * _adaptive_simpson(kl_integrand(True), knots, tol)
-    if alpha > 0.0:
-        total += alpha * _adaptive_simpson(kl_integrand(False), knots, tol)
-    return total
+    kl = _adaptive_simpson(integrand, knots, tol, len(terms))
+    totals = [0.0] * flat.size
+    for (j, weight, _), value in zip(terms, kl.tolist()):
+        totals[j] += weight * value
+    return totals[0] if alphas.ndim == 0 else np.array(totals)
 
 
 def finite_diff(loss_evaluator, params: np.ndarray, h: float = 1e-5) -> np.ndarray:

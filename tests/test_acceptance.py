@@ -114,9 +114,9 @@ def test_criterion_4_jsa_boundedness():
     checked = 0
     for _ in range(1000):
         q, p = random_pair(rng)
-        for alpha in alphas:
-            val = quadrature_jsa(q.mu[0], q.sigma[0], p.mu[0], p.sigma[0], float(alpha))
-            assert val <= jsa_bound(float(alpha)) + 1e-9
+        vals = quadrature_jsa(q.mu[0], q.sigma[0], p.mu[0], p.sigma[0], alphas)
+        for alpha, val in zip(alphas.tolist(), vals.tolist()):
+            assert val <= jsa_bound(alpha) + 1e-9
             checked += 1
     report(4, f"{checked} quadrature evaluations, zero bound violations")
 

@@ -360,8 +360,8 @@ class TestBoundedness:
         rng = np.random.default_rng(53)
         for _ in range(60):
             q, p = random_pair(rng)
-            for alpha in (0.1, 0.5, 0.9):
-                val = quadrature_jsa(q.mu[0], q.sigma[0], p.mu[0], p.sigma[0], alpha)
+            vals = quadrature_jsa(q.mu[0], q.sigma[0], p.mu[0], p.sigma[0], [0.1, 0.5, 0.9])
+            for alpha, val in zip((0.1, 0.5, 0.9), vals.tolist()):
                 assert val <= jsa_bound(alpha) + 1e-9
 
 

@@ -6,8 +6,8 @@ NaN, inf, a negative, a fraction, a string, a bool and 10**400 wherever the
 field's check refuses the value. Two hand-written tables add the cross-field
 config cases and the flag cases. Each case runs `jsbnn.cli.main` in-process
 with warnings turned into errors, so a traceback or a numpy RuntimeWarning
-fails the test. The draw cap is tested only with values that validation
-refuses before anything is allocated.
+fails the test. The caps on draws, data set size and predictive samples are
+tested only with values that validation refuses before anything is allocated.
 """
 
 import copy
@@ -115,9 +115,14 @@ LISTED_CONFIG_CASES = [  # (field, value[, the field the error names])
     ("dataset.split_fractions", [1.2, -0.1, -0.1]),
     ("dataset.split_fractions", [0.5, 0.2, 0.2]),
     ("dataset.split_fractions", [0.0, 0.5, 0.5]),  # an empty training split
+    ("dataset.split_fractions", [0.8, 0.0, 0.2]),  # an empty validation split
+    ("dataset.split_fractions", [0.999, 0.0, 0.001]),
     ("dataset.centers", [[0.25, 0.25]]),  # one class
     ("dataset.centers", [[0.25, 0.25], [0.75]]),  # ragged
     ("dataset.n_per_class", 2.5),
+    # just over the cap on rows x widest layer for the demo net: 595782 x (1 + 2.52) x 16 > 2**25
+    ("dataset.n_per_class", 595782),
+    ("dataset.n_per_class", 2**62),
     ("dataset.seed", -1),
     ("dataset.bias_ratio", math.nan),
     ("dataset.bias_ratio", "2"),
@@ -130,6 +135,8 @@ LISTED_CONFIG_CASES = [  # (field, value[, the field the error names])
     ("epochs", 2.5),
     ("epochs", 5.0),
     ("early_stop_patience", 1.5),
+    ("eval_samples", 2**20 + 1),  # just over the cap on predictive samples
+    ("eval_samples", 2**40),
     ("loss.alpha", "0.5"),
     ("loss.mc_samples", 10**12),
     ("loss.mc_samples", 2.5),
@@ -159,6 +166,7 @@ def checkpoint(tmp_path_factory):
 CLI_CASES = [  # each ended in a traceback or a wrong exit code before the flag types
     "eval --config {cfg} --checkpoint {ckpt} --seed 3 --n-samples 0",
     "eval --config {cfg} --checkpoint {ckpt} --seed 3 --n-samples 1e3",
+    "eval --config {cfg} --checkpoint {ckpt} --seed 3 --n-samples 1048577",  # over the eval_samples cap
     "mc-convergence --samples a,b",
     "mc-convergence --samples 0,10",
     "mc-convergence --samples 10,1000000000000",  # over the draw cap, refused before any allocation

@@ -154,7 +154,7 @@ class TestKlLoss:
         assert out.divergence_term >= 0.0
 
     def test_csv_row(self):
-        b = LossBreakdown.assemble(2.0, 1.5, 0.5)
+        b = LossBreakdown(divergence_term=2.0, nll_term=1.5, total=2.5, minibatch_scale=0.5)
         assert b.csv_row(7) == "7,2.0,1.5,2.5"
 
 

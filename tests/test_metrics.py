@@ -62,7 +62,6 @@ class TestConfusion:
         np.testing.assert_array_equal(cm.counts, [[3, 2], [2, 3]])
         assert cm.total == 10
         assert cm.false_negatives() == 2
-        assert cm.false_negative_rate() == pytest.approx(0.4)
 
     def test_label_out_of_range(self):
         with pytest.raises(ValueError):
