@@ -224,7 +224,8 @@ def _random_univariate_pair(rng):
 def _jsa_bound_holds(q, p, rng):
     """Boundedness of the skewed-mixture divergence (quadrature oracle)."""
     alphas = np.arange(0.1, 0.95, 0.1).tolist()
-    for alpha, val in zip(alphas, quadrature_jsa(q.mu[0], q.sigma[0], p.mu[0], p.sigma[0], alphas).tolist()):
+    vals = quadrature_jsa(q.mu[0], q.sigma[0], p.mu[0], p.sigma[0], alphas)
+    for alpha, val in zip(alphas, vals.tolist()):
         yield jsa_bound(alpha) + 1e-9 - val >= 0, (alpha, val)
 
 

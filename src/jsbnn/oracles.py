@@ -59,15 +59,10 @@ def _adaptive_simpson(f, knots: np.ndarray, tol: float, n_integrals: int = 1,
 
     knots = np.asarray(knots, dtype=np.float64)
     span = float(knots[-1] - knots[0])
-    # evaluate every integral at the knots and the panel midpoints in one call
-    n_panels = knots.size - 1
-    grid = np.empty(2 * n_panels + 1)
-    grid[0::2], grid[1::2] = knots, 0.5 * (knots[:-1] + knots[1:])
-    fgrid = checked(np.tile(grid, n_integrals), np.repeat(np.arange(n_integrals), grid.size))
-    fgrid = fgrid.reshape(n_integrals, grid.size)
-    k = np.repeat(np.arange(n_integrals), n_panels)
-    a, m, b = (np.tile(grid[lo:lo + 2 * n_panels:2], n_integrals) for lo in (0, 1, 2))
-    fa, fm, fb = (fgrid[:, lo:lo + 2 * n_panels:2].ravel() for lo in (0, 1, 2))
+    k = np.repeat(np.arange(n_integrals), knots.size - 1)
+    a, b = np.tile(knots[:-1], n_integrals), np.tile(knots[1:], n_integrals)
+    m = 0.5 * (a + b)
+    fa, fm, fb = np.split(checked(np.concatenate([a, m, b]), np.tile(k, 3)), 3)
     totals = [0.0] * n_integrals
     for _ in range(max_rounds):
         n = k.size

@@ -104,7 +104,7 @@ class TestQuadratureJsa:
             calls.append(x.size)
             y = np.sqrt(x) * (k + 1)  # the kink at 0 takes many refinement rounds
             if len(calls) == 4:
-                y[-1] = bad  # the last integral's value, so every integral's panels are in play
+                y[-1] = bad  # a quarter point of the last integral's last panel
             return y
 
         with pytest.raises(NumericError, match="non-finite"):
